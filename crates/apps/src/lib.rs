@@ -57,6 +57,10 @@ pub enum AppClass {
     MessagePassing,
 }
 
+/// The largest processor count any kernel runs on: one mesh node per
+/// processor, and the CC-NUMA machine's full-map directory.
+pub const MAX_PROCS: usize = 4096;
+
 impl AppClass {
     /// Label used in report tables.
     pub fn name(self) -> &'static str {
@@ -172,14 +176,49 @@ impl AppId {
         }
     }
 
+    /// Checks `nprocs` against this kernel's requirements at `scale` —
+    /// exactly the processor counts on which [`AppId::run`] would panic —
+    /// so a driver can report a bad count as one line instead.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the kernel, the count and what it needs.
+    pub fn check_procs(self, nprocs: usize, scale: Scale) -> Result<(), String> {
+        if !(1..=MAX_PROCS).contains(&nprocs) {
+            return Err(format!("processor count must be between 1 and {MAX_PROCS}, got {nprocs}"));
+        }
+        let divides = |n: usize, what: &str| {
+            n.is_multiple_of(nprocs).then_some(()).ok_or(format!("a divisor of its {n} {what}"))
+        };
+        let needs = match self {
+            AppId::Fft1d => {
+                let n = sm::fft1d::points(scale);
+                (nprocs.is_power_of_two() && 2 * nprocs <= n)
+                    .then_some(())
+                    .ok_or(format!("a power of two of at most {}", n / 2))
+            }
+            AppId::Is => divides(sm::is::sizes(scale).0, "keys"),
+            AppId::Nbody => divides(sm::nbody::sizes(scale).0, "bodies"),
+            AppId::Fft3d => divides(mp::fft3d::grid(scale), "z-planes"),
+            AppId::Mg => nprocs.is_power_of_two().then_some(()).ok_or("a power of two".to_string()),
+            AppId::Allreduce | AppId::Halo => {
+                (nprocs >= 2).then_some(()).ok_or("at least 2".to_string())
+            }
+            AppId::Cholesky | AppId::Maxflow => Ok(()),
+        };
+        needs.map_err(|need| {
+            format!(
+                "{self} cannot run on {nprocs} processors at {} scale: the count must be {need}",
+                scale.name()
+            )
+        })
+    }
+
     /// Runs the application at the given processor count and scale.
     ///
     /// # Panics
     ///
-    /// Panics on invalid processor counts (each kernel documents its own
-    /// constraints; all accept powers of two between 2 and 32, and the
-    /// suitably-sized kernels scale to 1024+ — e.g. [`sm::fft1d`] at any
-    /// power of two with `2·nprocs ≤ points`).
+    /// Panics on processor counts [`AppId::check_procs`] rejects.
     pub fn run(self, nprocs: usize, scale: Scale) -> AppOutput {
         self.run_engine(nprocs, scale, commchar_mesh::EngineKind::Recurrence)
     }
@@ -267,5 +306,29 @@ impl AppId {
 impl std::fmt::Display for AppId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_procs_accepts_the_suite_counts_and_names_what_is_wrong() {
+        for &app in AppId::all() {
+            for procs in [2, 4, 8] {
+                for scale in [Scale::Tiny, Scale::Small, Scale::Full] {
+                    assert_eq!(app.check_procs(procs, scale), Ok(()), "{app} p={procs}");
+                }
+            }
+            assert!(app.check_procs(0, Scale::Small).is_err(), "{app}");
+            assert!(app.check_procs(MAX_PROCS + 1, Scale::Small).is_err(), "{app}");
+        }
+        let err = AppId::Is.check_procs(3, Scale::Small).unwrap_err();
+        assert!(err.contains("divisor of its 8192 keys"), "{err}");
+        assert!(AppId::Fft1d.check_procs(6, Scale::Full).is_err());
+        assert!(AppId::Fft3d.check_procs(16, Scale::Tiny).is_err());
+        assert!(AppId::Allreduce.check_procs(1, Scale::Tiny).is_err());
+        assert_eq!(AppId::Halo.check_procs(3, Scale::Tiny), Ok(()));
     }
 }

@@ -14,7 +14,7 @@ use commchar_sp2::{run_mp as sp2_run, Rank, Sp2Config};
 use crate::util::{fft_inplace, XorShift};
 use crate::{AppClass, AppOutput, Scale};
 
-fn grid(scale: Scale) -> usize {
+pub(crate) fn grid(scale: Scale) -> usize {
     match scale {
         Scale::Tiny => 8,
         Scale::Small => 16,

@@ -12,7 +12,7 @@ use commchar_spasm::{run as spasm_run, Ctx, MachineConfig, Region};
 use crate::{AppClass, AppOutput, Scale};
 
 /// Problem size by scale.
-fn points(scale: Scale) -> usize {
+pub(crate) fn points(scale: Scale) -> usize {
     match scale {
         Scale::Tiny => 256,
         Scale::Small => 1024,

@@ -14,7 +14,7 @@ use commchar_spasm::{run as spasm_run, MachineConfig};
 use crate::util::XorShift;
 use crate::{AppClass, AppOutput, Scale};
 
-fn sizes(scale: Scale) -> (usize, usize) {
+pub(crate) fn sizes(scale: Scale) -> (usize, usize) {
     // (keys, key range)
     match scale {
         Scale::Tiny => (2_048, 64),

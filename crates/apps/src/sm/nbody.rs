@@ -10,7 +10,7 @@ use commchar_spasm::{run as spasm_run, MachineConfig};
 use crate::util::XorShift;
 use crate::{AppClass, AppOutput, Scale};
 
-fn sizes(scale: Scale) -> (usize, usize) {
+pub(crate) fn sizes(scale: Scale) -> (usize, usize) {
     // (bodies, steps)
     match scale {
         Scale::Tiny => (48, 2),

@@ -6,7 +6,7 @@
 use commchar_apps::AppId;
 use commchar_bench::{run_and_characterize, run_suite, ExpOptions};
 use commchar_core::synthesize;
-use commchar_mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::{IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole};
 use commchar_sp2::{run_mp, Sp2Config};
 use commchar_stats::linreg::fit_line;
 use commchar_traffic::patterns::uniform_poisson;
@@ -100,7 +100,7 @@ fn exp_v1(c: &mut Criterion) {
             let model = synthesize(&sig, w.mesh);
             let synth = model.generate(span, 7);
             let msgs = to_msgs(&synth);
-            black_box(OnlineWormhole::new(w.mesh).simulate(&msgs).summary())
+            black_box(OnlineWormhole::new(w.mesh).simulate(&msgs).unwrap().summary())
         })
     });
     group.finish();
@@ -115,8 +115,8 @@ fn exp_a1(c: &mut Criterion) {
     let msgs = to_msgs(&trace);
     group.bench_function("a1_model_crosscheck", |b| {
         b.iter(|| {
-            let a = OnlineWormhole::new(mesh).simulate(black_box(&msgs)).summary();
-            let f = FlitLevel::new(mesh).simulate(black_box(&msgs)).summary();
+            let a = OnlineWormhole::new(mesh).simulate(black_box(&msgs)).unwrap().summary();
+            let f = IncrementalFlit::new(mesh).simulate(black_box(&msgs)).unwrap().summary();
             black_box((a, f))
         })
     });

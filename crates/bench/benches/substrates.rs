@@ -4,7 +4,7 @@
 
 use commchar_apps::{AppId, Scale};
 use commchar_mesh::{
-    FlitCycleReference, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole,
+    FlitCycleReference, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole,
     StreamingLog,
 };
 use commchar_stats::fit::fit_best;
@@ -36,11 +36,11 @@ fn bench_mesh(c: &mut Criterion) {
     let mesh = MeshConfig::for_nodes(16);
     let msgs = msgs_for(16, 5_000);
     c.bench_function("mesh/online_wormhole_5k_msgs", |b| {
-        b.iter(|| OnlineWormhole::new(mesh).simulate(black_box(&msgs)))
+        b.iter(|| OnlineWormhole::new(mesh).simulate(black_box(&msgs)).unwrap())
     });
     let small = msgs_for(16, 500);
     c.bench_function("mesh/flit_level_500_msgs", |b| {
-        b.iter(|| FlitLevel::new(mesh).simulate(black_box(&small)))
+        b.iter(|| IncrementalFlit::new(mesh).simulate(black_box(&small)).unwrap())
     });
     // The retained cycle-loop oracle, same workload — keeps the
     // event-driven speedup visible in the criterion history alongside
@@ -54,9 +54,9 @@ fn bench_mesh(c: &mut Criterion) {
         b.iter(|| {
             let mut net = OnlineWormhole::<StreamingLog>::streaming(mesh);
             for m in black_box(&msgs) {
-                net.send(*m);
+                net.send(*m).unwrap();
             }
-            net.into_sink().summary()
+            net.finish().summary()
         })
     });
 }
@@ -89,13 +89,13 @@ fn bench_variants(c: &mut Criterion) {
     let torus = MeshConfig::torus_for_nodes(16);
     let msgs = msgs_for(16, 2_000);
     c.bench_function("mesh/online_torus_2k_msgs", |b| {
-        b.iter(|| OnlineWormhole::new(torus).simulate(black_box(&msgs)))
+        b.iter(|| OnlineWormhole::new(torus).simulate(black_box(&msgs)).unwrap())
     });
     // Virtual channels on the flit model.
     let vc = MeshConfig::for_nodes(16).with_virtual_channels(4);
     let small = msgs_for(16, 300);
     c.bench_function("mesh/flit_4vc_300_msgs", |b| {
-        b.iter(|| commchar_mesh::FlitLevel::new(vc).simulate(black_box(&small)))
+        b.iter(|| IncrementalFlit::new(vc).simulate(black_box(&small)).unwrap())
     });
     // Analytic prediction throughput.
     let model = uniform_poisson(16, 0.002, 32);

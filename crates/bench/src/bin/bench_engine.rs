@@ -9,7 +9,7 @@
 //!    the cost, in distortion, of the fast model.
 //! 2. **Throughput** — the incremental flit engine (one `send` at a time,
 //!    committed/speculative dual state) against the open-loop batch
-//!    `FlitLevel::simulate` on the same injection schedule. The logs are
+//!    `IncrementalFlit::simulate` on the same injection schedule. The logs are
 //!    cross-checked for byte identity first, and the closed-loop overhead
 //!    ratio is asserted ≤ 3× — the price of per-send feedback must stay
 //!    bounded.
@@ -24,9 +24,7 @@ use std::time::Instant;
 use commchar_apps::{AppId, Scale};
 use commchar_core::{characterize, run_workload_engine};
 use commchar_des::SimTime;
-use commchar_mesh::{
-    EngineKind, FlitLevel, IncrementalFlit, MeshConfig, MeshModel, NetEngine, NetMessage, NodeId,
-};
+use commchar_mesh::{EngineKind, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId};
 
 /// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
 struct Lcg(u64);
@@ -151,7 +149,7 @@ fn main() {
     // without resembling any closed-loop use.
     let cfg = MeshConfig::new(8, 8).with_virtual_channels(2);
     let msgs = uniform(42, 64, if quick { 1500 } else { 6000 }, 48, 96);
-    let batch_log = FlitLevel::new(cfg).simulate(&msgs);
+    let batch_log = IncrementalFlit::new(cfg).simulate(&msgs).expect("flit simulation");
     let mut inc = IncrementalFlit::new(cfg);
     for m in &msgs {
         inc.send(*m).expect("nondecreasing schedule");
@@ -161,7 +159,7 @@ fn main() {
     assert_eq!(batch_log.utilization(), inc_log.utilization(), "utilization diverged");
 
     let t_batch = time_best(iters, || {
-        let log = FlitLevel::new(cfg).simulate(&msgs);
+        let log = IncrementalFlit::new(cfg).simulate(&msgs).expect("flit simulation");
         assert_eq!(log.records().len(), msgs.len());
     });
     let t_inc = time_best(iters, || {

@@ -1,4 +1,4 @@
-//! Flit-router throughput bench: event-driven `FlitLevel` vs the
+//! Flit-router throughput bench: event-driven `IncrementalFlit` vs the
 //! retained cycle-loop `FlitCycleReference`, on fixed seeded workloads.
 //!
 //! Each workload is simulated by both models; the logs are cross-checked
@@ -14,7 +14,8 @@ use std::time::Instant;
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    FlitCycleReference, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, Routing, Topology,
+    FlitCycleReference, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, Routing,
+    Topology,
 };
 
 /// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
@@ -166,16 +167,15 @@ fn main() {
     );
     for w in workloads(quick) {
         // Cross-check first: identical logs or the numbers are meaningless.
-        let fast_log = FlitLevel::new(w.cfg).simulate(&w.msgs);
+        let fast_log = IncrementalFlit::new(w.cfg).simulate(&w.msgs).expect("flit simulation");
         let ref_log = FlitCycleReference::new(w.cfg).simulate(&w.msgs);
         assert_eq!(fast_log.records(), ref_log.records(), "{}: records diverged", w.name);
         assert_eq!(fast_log.utilization(), ref_log.utilization(), "{}: util diverged", w.name);
         let blocked: u64 = fast_log.records().iter().map(|r| r.blocked()).sum();
         let mean_blocked = blocked as f64 / fast_log.records().len() as f64;
 
-        let mut fast = FlitLevel::new(w.cfg);
         let t_fast = time_best(iters, || {
-            let log = fast.simulate(&w.msgs);
+            let log = IncrementalFlit::new(w.cfg).simulate(&w.msgs).expect("flit simulation");
             assert_eq!(log.records().len(), w.msgs.len());
         });
         let t_ref = time_best(iters, || {

@@ -22,7 +22,7 @@ use std::time::Instant;
 use commchar_apps::{AppId, Scale};
 use commchar_core::{characterize, run_workload_sim};
 use commchar_des::SimTime;
-use commchar_mesh::{EngineKind, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId};
+use commchar_mesh::{EngineKind, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId};
 
 const WIDTH: u16 = 32;
 const HEIGHT: u16 = 32;
@@ -162,10 +162,13 @@ fn bench_flit(quick: bool, iters: u32, jobs: usize) -> Section {
 
     // Cross-check first: the sharded engine must be cycle-identical at
     // every shard count before any timing is worth reporting.
-    let serial_log = FlitLevel::new(cfg).simulate(&msgs);
+    let simulate = |jobs: usize| {
+        IncrementalFlit::new(cfg).with_sim_jobs(jobs).simulate(&msgs).expect("flit simulation")
+    };
+    let serial_log = simulate(1);
     let check_jobs: &[usize] = if quick { &[4] } else { &[2, 4, 8] };
     for &n in check_jobs {
-        let sharded_log = FlitLevel::new(cfg).with_sim_jobs(n).simulate(&msgs);
+        let sharded_log = simulate(n);
         assert_eq!(
             sharded_log.records(),
             serial_log.records(),
@@ -179,15 +182,11 @@ fn bench_flit(quick: bool, iters: u32, jobs: usize) -> Section {
         println!("identity: flit --sim-jobs {n} byte-identical to serial ({} records)", msgs.len());
     }
 
-    let mut serial = FlitLevel::new(cfg);
     let t_serial = time_best(iters, || {
-        let log = serial.simulate(&msgs);
-        assert_eq!(log.records().len(), msgs.len());
+        assert_eq!(simulate(1).records().len(), msgs.len());
     });
-    let mut sharded = FlitLevel::new(cfg).with_sim_jobs(jobs);
     let t_sharded = time_best(iters, || {
-        let log = sharded.simulate(&msgs);
-        assert_eq!(log.records().len(), msgs.len());
+        assert_eq!(simulate(jobs).records().len(), msgs.len());
     });
 
     let n = msgs.len() as f64;

@@ -1,10 +1,11 @@
 //! Experiment A1 (ablation) — cross-validation of the two network models:
 //! the channel-recurrence OnlineWormhole against the cycle-accurate
-//! FlitLevel router model, on synthetic patterns across load levels.
+//! flit router model (`IncrementalFlit`), on synthetic patterns across
+//! load levels.
 
 use commchar_core::report::table;
 use commchar_mesh::{
-    FlitCycleReference, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole,
+    FlitCycleReference, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole,
 };
 use commchar_traffic::patterns::{bit_complement, hotspot, transpose, uniform_poisson};
 
@@ -36,8 +37,9 @@ fn main() {
         ] {
             let trace = model.generate(60_000, 5);
             let msgs = to_msgs(&trace);
-            let online = OnlineWormhole::new(mesh).simulate(&msgs).summary();
-            let flit_log = FlitLevel::new(mesh).simulate(&msgs);
+            let online =
+                OnlineWormhole::new(mesh).simulate(&msgs).expect("batch simulation").summary();
+            let flit_log = IncrementalFlit::new(mesh).simulate(&msgs).expect("flit simulation");
             // The event-driven router must be cycle-identical to the
             // retained cycle-loop reference on every workload it reports.
             let ref_log = FlitCycleReference::new(mesh).simulate(&msgs);

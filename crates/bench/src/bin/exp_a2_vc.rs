@@ -7,7 +7,7 @@
 use commchar_apps::AppId;
 use commchar_bench::{run_and_characterize, ExpOptions};
 use commchar_core::report::table;
-use commchar_mesh::{FlitLevel, NetMessage, NodeId};
+use commchar_mesh::{IncrementalFlit, NetEngine, NetMessage, NodeId};
 use commchar_traffic::patterns::hotspot;
 
 fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
@@ -43,9 +43,7 @@ fn main() {
             let cfg = w.mesh.with_virtual_channels(vcs);
             // Streaming sink: the cycle-accurate router folds each record
             // into constant-memory moments instead of buffering a NetLog.
-            let mut model = FlitLevel::streaming(cfg);
-            model.run(msgs);
-            let stream = model.sink();
+            let stream = IncrementalFlit::streaming(cfg).simulate(msgs).expect("flit simulation");
             rows.push(vec![
                 name.to_string(),
                 vcs.to_string(),

@@ -9,7 +9,9 @@
 
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::table;
-use commchar_mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, Routing, Topology};
+use commchar_mesh::{
+    IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, Routing, Topology,
+};
 
 fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
     trace
@@ -42,8 +44,12 @@ fn main() {
     let mut rows = Vec::new();
     for (w, sig) in run_suite(opts) {
         let msgs = to_msgs(&w.trace);
-        let sums: Vec<_> =
-            cfgs.iter().map(|&cfg| FlitLevel::new(cfg).simulate(&msgs).summary()).collect();
+        let sums: Vec<_> = cfgs
+            .iter()
+            .map(|&cfg| {
+                IncrementalFlit::new(cfg).simulate(&msgs).expect("batch simulation").summary()
+            })
+            .collect();
         let base = sums[0].mean_latency;
         let best_torus = sums[2].mean_latency.min(sums[3].mean_latency);
         rows.push(vec![

@@ -8,7 +8,7 @@
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::table;
 use commchar_core::{synthesize, synthesize_phased};
-use commchar_mesh::{MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::{NetEngine, NetMessage, NodeId, OnlineWormhole};
 use commchar_trace::CommTrace;
 use commchar_traffic::patterns::uniform_poisson;
 
@@ -27,7 +27,7 @@ fn replay_open_loop(
             inject: commchar_des::SimTime::from_ticks(e.t),
         })
         .collect();
-    OnlineWormhole::new(mesh).simulate(&msgs).summary()
+    OnlineWormhole::new(mesh).simulate(&msgs).expect("batch simulation").summary()
 }
 
 fn main() {

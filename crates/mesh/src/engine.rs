@@ -11,27 +11,31 @@
 //! network answers:
 //!
 //! - [`OnlineWormhole`] — the channel-granularity recurrence model. Its
-//!   [`send`](OnlineWormhole::send) already *is* the closed loop; the trait
-//!   impl is zero-cost delegation.
-//! - [`IncrementalFlit`] — the cycle-accurate [`FlitLevel`] router accepting
-//!   out-of-band sends. The flit router is not causal (a later injection can
-//!   retroactively change an earlier delivery through round-robin
-//!   allocation and buffer contention), so it keeps a *committed* state that
-//!   only ever processes finalized cycles — cycles no future injection can
-//!   perturb — plus a cloned *speculative* state run ahead to deliver the
-//!   newest message. The returned delivery time is the engine's best
-//!   feedback given all traffic so far; the **final log is cycle-identical
-//!   to a batch [`FlitLevel`] run** over the same injection schedule, which
-//!   is the property the equivalence suite pins.
+//!   recurrence already *is* the closed loop: each send resolves at once.
+//! - [`IncrementalFlit`] — the cycle-accurate flit router. It is not causal
+//!   (a later injection can retroactively change an earlier delivery
+//!   through round-robin allocation and buffer contention), so it keeps a
+//!   *committed* state that only ever processes finalized cycles — cycles
+//!   no future injection can perturb — plus a *speculative* copy run ahead
+//!   to deliver the newest message. The returned delivery time is the
+//!   engine's best feedback given all traffic so far; the **final log is
+//!   cycle-identical to a batch [`simulate`](NetEngine::simulate)** over
+//!   the same injection schedule, which is the property the closed-loop
+//!   suite pins.
+//!
+//! The same trait is the batch interface: [`NetEngine::simulate`] sorts a
+//! whole message list by `(inject, id)`, sends it and finishes. Engines may
+//! override it with a faster path that must produce the same sink.
 //!
 //! [`EngineKind`] is the runtime selector the CLI's `--engine` flag parses
 //! into; drivers match on it to construct the engine they are generic over.
 
 use commchar_des::SimTime;
 
-use crate::flit::ClosedLoop;
-use crate::sink::{LogSink, StreamingLog};
-use crate::{MeshConfig, NetLog, NetMessage, OnlineWormhole, Routing, Topology};
+use crate::sink::LogSink;
+#[cfg(doc)]
+use crate::{IncrementalFlit, OnlineWormhole};
+use crate::{MeshConfig, NetMessage, Routing, Topology};
 
 /// An error surfaced by a closed-loop engine instead of a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,6 +96,17 @@ impl EngineError {
         }
         Ok(())
     }
+
+    /// Enforces the time-ordered feed every engine requires: `msg` may not
+    /// be injected before `*last`, the latest injection seen so far, which
+    /// it then becomes.
+    pub(crate) fn check_order(last: &mut SimTime, msg: &NetMessage) -> Result<(), EngineError> {
+        if msg.inject < *last {
+            return Err(EngineError::OutOfOrder { id: msg.id, inject: msg.inject, last: *last });
+        }
+        *last = msg.inject;
+        Ok(())
+    }
 }
 
 impl std::fmt::Display for EngineError {
@@ -125,9 +140,9 @@ pub enum EngineKind {
     /// fast, causal, the default and the historical behavior.
     #[default]
     Recurrence,
-    /// The cycle-accurate flit router in incremental mode
-    /// ([`IncrementalFlit`]) — slower, but the final log is
-    /// cycle-identical to a batch [`FlitLevel`](crate::FlitLevel) run.
+    /// The cycle-accurate flit router ([`IncrementalFlit`]) — slower, but
+    /// cycle-identical to the [`FlitCycleReference`](crate::FlitCycleReference)
+    /// oracle.
     FlitLevel {
         /// Worker threads for the sharded drain (`--sim-jobs`): `1` is
         /// the exact serial engine, `0` means one per hardware thread,
@@ -197,6 +212,20 @@ impl std::fmt::Display for EngineKind {
 ///
 /// Implementations log every delivered message into a [`LogSink`] and
 /// hand it over (with per-channel utilization) at [`finish`](NetEngine::finish).
+/// The same interface runs a whole batch through [`simulate`](NetEngine::simulate).
+///
+/// # Example
+///
+/// ```
+/// use commchar_des::SimTime;
+/// use commchar_mesh::{MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole};
+///
+/// let mut net = OnlineWormhole::new(MeshConfig::new(4, 2)); // 4x2 mesh, 8 nodes
+/// let msg = NetMessage { id: 0, src: NodeId(0), dst: NodeId(7), bytes: 40, inject: SimTime::ZERO };
+/// let delivered = net.send(msg).unwrap();
+/// assert!(delivered > SimTime::ZERO);
+/// assert_eq!(net.finish().records().len(), 1);
+/// ```
 pub trait NetEngine {
     /// The sink accumulating this engine's records.
     type Sink: LogSink;
@@ -232,184 +261,38 @@ pub trait NetEngine {
     fn min_latency(&self) -> u64 {
         self.config().zero_load_latency(1, 1)
     }
-}
 
-impl<S: LogSink> NetEngine for OnlineWormhole<S> {
-    type Sink = S;
-
-    fn config(&self) -> &MeshConfig {
-        OnlineWormhole::config(self)
-    }
-
-    fn send(&mut self, msg: NetMessage) -> Result<SimTime, EngineError> {
-        self.try_send(msg)
-    }
-
-    fn sink(&self) -> &S {
-        OnlineWormhole::sink(self)
-    }
-
-    fn finish(self) -> S {
-        self.into_sink()
-    }
-}
-
-/// The cycle-accurate [`FlitLevel`](crate::FlitLevel) router as a
-/// closed-loop engine: accepts one message at a time and reports each
-/// delivery without requiring the full batch up front.
-///
-/// Delivery times returned by [`send`](IncrementalFlit::send) are the
-/// router's exact answer *given all traffic injected so far* — the flit
-/// router is not causal, so a later injection may retroactively change an
-/// earlier message's true delivery (the recurrence model has no such
-/// revisions). What is pinned, by the same style of randomized equivalence
-/// suite that pins the router against its oracle, is the **final log**:
-/// records and channel utilization out of [`finish`](NetEngine::finish)
-/// are identical to a batch [`FlitLevel::run`](crate::FlitLevel::run) over
-/// the same messages.
-#[derive(Debug)]
-pub struct IncrementalFlit<S: LogSink = NetLog> {
-    cfg: MeshConfig,
-    core: ClosedLoop,
-    sink: S,
-    last_inject: SimTime,
-    sim_jobs: usize,
-}
-
-impl IncrementalFlit {
-    /// Creates an idle closed-loop router logging into a [`NetLog`].
+    /// Simulates a whole batch: sorts `msgs` by `(inject, id)`, sends each
+    /// in that order and returns the finished sink. Engines may override
+    /// this with a faster batch path; the sink must be the same.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the configuration lacks the virtual channels its
-    /// (topology × routing) pair needs for deadlock freedom — use
-    /// [`IncrementalFlit::try_new`] for the typed
-    /// [`EngineError::UnsupportedTopology`].
-    pub fn new(cfg: MeshConfig) -> Self {
-        IncrementalFlit::with_sink(cfg, NetLog::new())
-    }
-
-    /// [`new`](IncrementalFlit::new), surfacing an undersized
-    /// virtual-channel budget as [`EngineError::UnsupportedTopology`]
-    /// instead of a panic.
-    pub fn try_new(cfg: MeshConfig) -> Result<Self, EngineError> {
-        IncrementalFlit::try_with_sink(cfg, NetLog::new())
-    }
-}
-
-impl IncrementalFlit<StreamingLog> {
-    /// Creates an idle closed-loop router accumulating into a
-    /// [`StreamingLog`] sized for this mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an undersized virtual-channel budget (see
-    /// [`IncrementalFlit::new`]).
-    pub fn streaming(cfg: MeshConfig) -> Self {
-        let nodes = cfg.shape.nodes();
-        IncrementalFlit::with_sink(cfg, StreamingLog::new(nodes))
-    }
-}
-
-impl<S: LogSink> IncrementalFlit<S> {
-    /// Creates an idle closed-loop router delivering records into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an undersized virtual-channel budget (see
-    /// [`IncrementalFlit::new`]).
-    pub fn with_sink(cfg: MeshConfig, sink: S) -> Self {
-        match IncrementalFlit::try_with_sink(cfg, sink) {
-            Ok(engine) => engine,
-            Err(e) => panic!("{e}"),
+    /// [`EngineError::OutOfOrder`] if `msgs` start before a message sent
+    /// earlier, or [`EngineError::Wedged`] if the network deadlocks.
+    fn simulate(mut self, msgs: &[NetMessage]) -> Result<Self::Sink, EngineError>
+    where
+        Self: Sized,
+    {
+        for msg in sorted(msgs) {
+            self.send(msg)?;
         }
-    }
-
-    /// [`with_sink`](IncrementalFlit::with_sink), surfacing an undersized
-    /// virtual-channel budget as [`EngineError::UnsupportedTopology`]
-    /// instead of a panic.
-    pub fn try_with_sink(cfg: MeshConfig, sink: S) -> Result<Self, EngineError> {
-        Ok(IncrementalFlit {
-            cfg,
-            core: ClosedLoop::try_new(cfg)?,
-            sink,
-            last_inject: SimTime::ZERO,
-            sim_jobs: 1,
-        })
-    }
-
-    /// Sets the `--sim-jobs` worker count used for the final drain.
-    ///
-    /// Per-send feedback is inherently sequential (each answer depends on
-    /// all traffic so far), so sends are unaffected; what parallelizes is
-    /// the closing [`into_sink`](IncrementalFlit::into_sink) drain of
-    /// every still-in-flight worm, which dominates wall-clock on large
-    /// meshes. The final log stays byte-identical for every value.
-    pub fn with_sim_jobs(mut self, sim_jobs: usize) -> Self {
-        self.sim_jobs = sim_jobs;
-        self
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &MeshConfig {
-        &self.cfg
-    }
-
-    /// The sink accumulating this engine's records. Records are emitted at
-    /// [`into_sink`](IncrementalFlit::into_sink) — once delivery times are
-    /// final — so mid-run the sink is still empty.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Injects a message and returns the delivery cycle of its tail flit,
-    /// or [`EngineError::OutOfOrder`] on a time-ordering violation.
-    pub fn try_send(&mut self, msg: NetMessage) -> Result<SimTime, EngineError> {
-        if msg.inject < self.last_inject {
-            return Err(EngineError::OutOfOrder {
-                id: msg.id,
-                inject: msg.inject,
-                last: self.last_inject,
-            });
-        }
-        self.last_inject = msg.inject;
-        self.core.send(msg).map(SimTime::from_ticks)
-    }
-
-    /// Finishes the simulation: drains every in-flight worm, emits one
-    /// record per message in injection order, and returns the sink with
-    /// per-channel utilization folded in — byte-identical to what a batch
-    /// [`FlitLevel`](crate::FlitLevel) produces for the same schedule.
-    pub fn into_sink(mut self) -> S {
-        self.core.finish_into_jobs(&mut self.sink, self.sim_jobs);
-        self.sink
+        Ok(self.finish())
     }
 }
 
-impl<S: LogSink> NetEngine for IncrementalFlit<S> {
-    type Sink = S;
-
-    fn config(&self) -> &MeshConfig {
-        IncrementalFlit::config(self)
-    }
-
-    fn send(&mut self, msg: NetMessage) -> Result<SimTime, EngineError> {
-        self.try_send(msg)
-    }
-
-    fn sink(&self) -> &S {
-        IncrementalFlit::sink(self)
-    }
-
-    fn finish(self) -> S {
-        self.into_sink()
-    }
+/// `msgs` in `(inject, id)` order — the order every engine resolves
+/// contention in.
+pub(crate) fn sorted(msgs: &[NetMessage]) -> Vec<NetMessage> {
+    let mut sorted = msgs.to_vec();
+    sorted.sort_by_key(|m| (m.inject, m.id));
+    sorted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeId;
+    use crate::{IncrementalFlit, NodeId, OnlineWormhole};
 
     fn msg(id: u64, src: u16, dst: u16, bytes: u32, inject: u64) -> NetMessage {
         NetMessage {
@@ -438,38 +321,45 @@ mod tests {
     fn out_of_order_is_an_error_not_a_panic() {
         let cfg = MeshConfig::new(2, 2);
         let mut flit = IncrementalFlit::new(cfg);
-        flit.try_send(msg(0, 0, 1, 8, 100)).unwrap();
-        let err = flit.try_send(msg(1, 1, 0, 8, 50)).unwrap_err();
+        flit.send(msg(0, 0, 1, 8, 100)).unwrap();
+        let err = flit.send(msg(1, 1, 0, 8, 50)).unwrap_err();
         assert!(err.to_string().contains("nondecreasing"), "{err}");
 
         let mut rec = OnlineWormhole::new(cfg);
-        rec.try_send(msg(0, 0, 1, 8, 100)).unwrap();
-        let err = rec.try_send(msg(1, 1, 0, 8, 50)).unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::OutOfOrder {
-                id: 1,
-                inject: SimTime::from_ticks(50),
-                last: SimTime::from_ticks(100),
-            }
-        );
+        rec.send(msg(0, 0, 1, 8, 100)).unwrap();
+        let err = rec.send(msg(1, 1, 0, 8, 50)).unwrap_err();
+        let expected = EngineError::OutOfOrder {
+            id: 1,
+            inject: SimTime::from_ticks(50),
+            last: SimTime::from_ticks(100),
+        };
+        assert_eq!(err, expected);
+
+        // A batch that starts before earlier sends is refused the same way
+        // by the provided `simulate` and by the flit engine's override.
+        let late = [msg(1, 1, 0, 8, 50)];
+        let mut rec = OnlineWormhole::new(cfg);
+        rec.send(msg(0, 0, 1, 8, 100)).unwrap();
+        assert_eq!(rec.simulate(&late).unwrap_err(), expected);
+        let mut flit = IncrementalFlit::new(cfg);
+        flit.send(msg(0, 0, 1, 8, 100)).unwrap();
+        assert_eq!(flit.simulate(&late).unwrap_err(), expected);
     }
 
     #[test]
-    fn trait_path_matches_inherent_wormhole_send() {
+    fn simulate_is_sorted_sends_then_finish() {
         let cfg = MeshConfig::new(4, 2);
-        let mut direct = OnlineWormhole::new(cfg);
-        let mut via_trait = OnlineWormhole::new(cfg);
-        for i in 0..50u64 {
-            let m = msg(i, (i % 8) as u16, ((i * 5 + 1) % 8) as u16, 16 + (i % 64) as u32, i * 4);
-            if m.src != m.dst {
-                let a = direct.send(m);
-                let b = NetEngine::send(&mut via_trait, m).unwrap();
-                assert_eq!(a, b);
-            }
+        let msgs: Vec<NetMessage> = (0..50u64)
+            .rev()
+            .map(|i| msg(i, (i % 8) as u16, ((i * 5 + 1) % 8) as u16, 16 + (i % 64) as u32, i * 4))
+            .filter(|m| m.src != m.dst)
+            .collect();
+        let mut fed = OnlineWormhole::new(cfg);
+        for m in sorted(&msgs) {
+            fed.send(m).unwrap();
         }
-        let a = direct.into_log();
-        let b = NetEngine::finish(via_trait);
+        let a = fed.finish();
+        let b = OnlineWormhole::new(cfg).simulate(&msgs).unwrap();
         assert_eq!(a.records(), b.records());
         assert_eq!(a.utilization(), b.utilization());
     }
@@ -478,10 +368,10 @@ mod tests {
     fn incremental_flit_send_reports_plausible_latency() {
         let cfg = MeshConfig::new(4, 4);
         let mut flit = IncrementalFlit::new(cfg);
-        let d = flit.try_send(msg(0, 0, 15, 32, 0)).unwrap();
+        let d = flit.send(msg(0, 0, 15, 32, 0)).unwrap();
         let hops = cfg.shape.hop_distance(NodeId(0), NodeId(15));
         assert_eq!(d.ticks(), cfg.zero_load_latency(32, hops));
-        let log = flit.into_sink();
+        let log = flit.finish();
         assert_eq!(log.records().len(), 1);
         assert_eq!(log.records()[0].delivered, d.ticks());
     }

@@ -50,8 +50,8 @@
 //!   seeds.
 //! - **Flat storage** — input buffers live in one slab of power-of-two
 //!   rings (`bhead`/`blen` arrays, no per-buffer `VecDeque`), request
-//!   queues in one stride-indexed array, and the whole workspace is
-//!   reused across `run` calls, so the hot loop allocates nothing.
+//!   queues in one stride-indexed array, and the speculative snapshot
+//!   reuses every allocation, so the hot loop allocates nothing.
 //!
 //! With one virtual channel the model reduces to a plain wormhole router
 //! and cross-validates the [`OnlineWormhole`](crate::OnlineWormhole)
@@ -64,11 +64,12 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::engine::EngineError;
+use commchar_des::SimTime;
+
+use crate::engine::{EngineError, NetEngine};
 use crate::sink::LogSink;
 use crate::{
-    MeshConfig, MeshModel, MsgRecord, NetLog, NetMessage, NodeId, StreamingLog, HOP_PORT_BITS,
-    HOP_PORT_MASK,
+    MeshConfig, MsgRecord, NetLog, NetMessage, NodeId, StreamingLog, HOP_PORT_BITS, HOP_PORT_MASK,
 };
 
 mod shard;
@@ -120,16 +121,11 @@ struct Landing {
     flit: Flit,
 }
 
-/// Reusable per-run state. Everything here is cleared (capacity kept) at
-/// the start of each run, so repeated batches on one model reuse the worm
-/// storage, route arena, buffers and event heaps without reallocating.
-/// `Clone` exists for the closed-loop engine ([`ClosedLoop`]), whose
+/// The whole state of one simulation: worms, route arena, buffers, queues
+/// and event heaps. `Clone` exists for [`IncrementalFlit`], whose
 /// speculative state is a snapshot of the committed one.
 #[derive(Clone, Debug, Default)]
 struct Workspace {
-    /// Message indices in (inject, id) order — replaces cloning and
-    /// re-sorting the caller's slice.
-    order: Vec<u32>,
     worms: Vec<Worm>,
     /// Flat route arena shared by all worms: the output port per hop (a
     /// flit's current node is implicit in which buffer holds it).
@@ -193,56 +189,41 @@ struct Workspace {
     port_of: Vec<u8>,
 }
 
+/// Event-wheel size for `cfg`: the farthest wakeup an enabling event can
+/// schedule (`max(link_delay, router_delay) + 2` cycles), rounded to a
+/// power of two so slot lookup is a mask, not a division.
+fn wheel_slots(cfg: &MeshConfig) -> u64 {
+    (cfg.link_delay.max(cfg.router_delay) + 2).next_power_of_two()
+}
+
 impl Workspace {
-    fn reset(&mut self, nodes: usize, vcs: usize, ring_slots: usize, cap: usize) {
+    /// An idle network: empty buffers, queues and wheel sized for `cfg`.
+    fn new(cfg: &MeshConfig) -> Workspace {
+        let nodes = cfg.shape.nodes();
+        let vcs = cfg.virtual_channels;
         let nbuf = nodes * NPORTS * vcs;
         let nout = nodes * NPORTS;
-        self.order.clear();
-        self.worms.clear();
-        self.routes.clear();
+        let cap = cfg.buffer_flits.next_power_of_two();
         let filler = Flit { worm: 0, kind: Kind::Body, ready: 0, hop: 0 };
-        self.slab.clear();
-        self.slab.resize(nbuf * cap, filler);
-        self.bhead.clear();
-        self.bhead.resize(nbuf, 0);
-        self.blen.clear();
-        self.blen.resize(nbuf, 0);
-        self.reserved.clear();
-        self.reserved.resize(nbuf, 0);
-        self.owners.clear();
-        self.owners.resize(nout * vcs, None);
-        self.busy_until.clear();
-        self.busy_until.resize(nout, 0);
-        self.busy_ticks.clear();
-        self.busy_ticks.resize(nout, 0);
-        self.rr.clear();
-        self.rr.resize(nout, 0);
-        self.vc_rr.clear();
-        self.vc_rr.resize(nout, 0);
-        self.req.clear();
-        self.req.resize(nout * NPORTS * vcs, 0);
-        self.req_len.clear();
-        self.req_len.resize(nout, 0);
-        self.dirty.clear();
-        self.dirty.resize(nout.div_ceil(64), 0);
-        for slot in &mut self.ring {
-            slot.clear();
+        Workspace {
+            slab: vec![filler; nbuf * cap],
+            bhead: vec![0; nbuf],
+            blen: vec![0; nbuf],
+            reserved: vec![0; nbuf],
+            owners: vec![None; nout * vcs],
+            busy_until: vec![0; nout],
+            busy_ticks: vec![0; nout],
+            rr: vec![0; nout],
+            vc_rr: vec![0; nout],
+            req: vec![0; nout * NPORTS * vcs],
+            req_len: vec![0; nout],
+            dirty: vec![0; nout.div_ceil(64)],
+            ring: vec![Vec::new(); wheel_slots(cfg) as usize],
+            ni_sched: vec![u64::MAX; nodes],
+            pending: vec![VecDeque::new(); nodes],
+            port_of: (0..NPORTS * vcs).map(|b| (b / vcs) as u8).collect(),
+            ..Workspace::default()
         }
-        self.ring.resize_with(ring_slots, Vec::new);
-        while let Some((_, mut bucket)) = self.due.pop_front() {
-            bucket.clear();
-            self.spare.push(bucket);
-        }
-        self.ni_events.clear();
-        self.ni_sched.clear();
-        self.ni_sched.resize(nodes, u64::MAX);
-        for q in &mut self.pending {
-            q.clear();
-        }
-        self.pending.resize_with(nodes, VecDeque::new);
-        self.cand.clear();
-        self.port_of.clear();
-        self.port_of.extend((0..NPORTS * vcs).map(|b| (b / vcs) as u8));
     }
 
     /// Makes `self` a snapshot of `src`, reusing every allocation and
@@ -268,7 +249,6 @@ impl Workspace {
         let known = self.worms.len();
         self.worms[finalized..].copy_from_slice(&src.worms[finalized..known]);
         self.worms.extend_from_slice(&src.worms[known..]);
-        self.order.clone_from(&src.order);
         self.slab.clone_from(&src.slab);
         self.bhead.clone_from(&src.bhead);
         self.blen.clone_from(&src.blen);
@@ -289,306 +269,6 @@ impl Workspace {
         self.pending.clone_from(&src.pending);
         self.cand.clone_from(&src.cand);
         self.port_of.clone_from(&src.port_of);
-    }
-}
-
-/// The cycle-accurate network model: event-driven, cycle-identical to
-/// [`FlitCycleReference`](crate::FlitCycleReference) (see the module docs
-/// for the microarchitecture).
-///
-/// Like [`OnlineWormhole`](crate::OnlineWormhole), the model is generic
-/// over its [`LogSink`]: the default [`NetLog`] retains every record;
-/// [`FlitLevel::streaming`] folds deliveries into a constant-memory
-/// [`StreamingLog`] instead.
-///
-/// # Example
-///
-/// ```
-/// use commchar_mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId};
-/// use commchar_des::SimTime;
-///
-/// let msgs = vec![NetMessage {
-///     id: 0, src: NodeId(0), dst: NodeId(3), bytes: 16, inject: SimTime::ZERO,
-/// }];
-/// let log = FlitLevel::new(MeshConfig::new(2, 2)).simulate(&msgs);
-/// assert_eq!(log.records().len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct FlitLevel<S: LogSink = NetLog> {
-    cfg: MeshConfig,
-    sink: S,
-    /// Accumulated busy ticks per output across runs (utilization).
-    busy: Vec<u64>,
-    first_inject: Option<u64>,
-    last_delivery: u64,
-    ws: Workspace,
-    /// `--sim-jobs`: worker threads for the sharded event loop. `1` runs
-    /// the serial engine; the output is byte-identical for every value.
-    sim_jobs: usize,
-    /// Lazily spawned long-lived worker team, reused across runs.
-    team: Option<commchar_pool::Team>,
-}
-
-impl FlitLevel {
-    /// Creates a model logging into a [`NetLog`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration lacks the virtual channels its
-    /// (topology × routing) pair needs for deadlock freedom (the torus
-    /// dateline escape classes, the adaptive XY/YX classes) — use
-    /// [`FlitLevel::try_new`] for the typed error.
-    pub fn new(cfg: MeshConfig) -> Self {
-        FlitLevel::with_sink(cfg, NetLog::new())
-    }
-
-    /// [`new`](FlitLevel::new), surfacing an undersized virtual-channel
-    /// budget as [`EngineError::UnsupportedTopology`] instead of a panic.
-    pub fn try_new(cfg: MeshConfig) -> Result<Self, EngineError> {
-        FlitLevel::try_with_sink(cfg, NetLog::new())
-    }
-
-    /// Finishes the simulation and returns the network log, including
-    /// per-channel utilization over the observed span.
-    pub fn into_log(self) -> NetLog {
-        self.into_sink()
-    }
-}
-
-impl FlitLevel<StreamingLog> {
-    /// Creates a model accumulating into a [`StreamingLog`] sized for this
-    /// mesh — constant sink memory however many messages are simulated.
-    pub fn streaming(cfg: MeshConfig) -> Self {
-        let nodes = cfg.shape.nodes();
-        FlitLevel::with_sink(cfg, StreamingLog::new(nodes))
-    }
-}
-
-impl<S: LogSink> FlitLevel<S> {
-    /// Creates a model delivering records into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an undersized virtual-channel budget (see
-    /// [`FlitLevel::new`]).
-    pub fn with_sink(cfg: MeshConfig, sink: S) -> Self {
-        match FlitLevel::try_with_sink(cfg, sink) {
-            Ok(model) => model,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`with_sink`](FlitLevel::with_sink), surfacing an undersized
-    /// virtual-channel budget as [`EngineError::UnsupportedTopology`]
-    /// instead of a panic.
-    pub fn try_with_sink(cfg: MeshConfig, sink: S) -> Result<Self, EngineError> {
-        EngineError::check_flit(&cfg)?;
-        Ok(FlitLevel {
-            cfg,
-            sink,
-            busy: vec![0; cfg.shape.nodes() * NPORTS],
-            first_inject: None,
-            last_delivery: 0,
-            ws: Workspace::default(),
-            sim_jobs: 1,
-            team: None,
-        })
-    }
-
-    /// Sets the `--sim-jobs` worker count: `1` (the default) is the
-    /// serial engine, `0` means one worker per hardware thread, `N > 1`
-    /// partitions the mesh into row bands run by a conservative-window
-    /// wavefront (see the `shard` module docs). Cycle-identical — the
-    /// log and utilization are byte-identical for every value.
-    pub fn with_sim_jobs(mut self, sim_jobs: usize) -> Self {
-        self.sim_jobs = sim_jobs;
-        self
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &MeshConfig {
-        &self.cfg
-    }
-
-    /// The sink accumulating this network's records.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Simulates one batch of messages (any order), feeding one record per
-    /// message into the sink. May be called repeatedly; channel utilization
-    /// accumulates across batches until [`into_sink`](FlitLevel::into_sink).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation wedges (a deadlocked configuration), with a
-    /// per-worm account of what is still in flight — use
-    /// [`try_run`](FlitLevel::try_run) for the typed error.
-    pub fn run(&mut self, msgs: &[NetMessage]) {
-        if let Err(e) = self.try_run(msgs) {
-            panic!("{e}");
-        }
-    }
-
-    /// [`run`](FlitLevel::run), surfacing a wedge as
-    /// [`EngineError::Wedged`] instead of a panic.
-    pub fn try_run(&mut self, msgs: &[NetMessage]) -> Result<(), EngineError> {
-        let cfg = self.cfg;
-        let vcs = cfg.virtual_channels;
-        let nodes = cfg.shape.nodes();
-        // Horizon of the farthest wakeup an enabling event can schedule,
-        // rounded to a power of two so slot lookup is a mask, not a div.
-        let wheel = (cfg.link_delay.max(cfg.router_delay) + 2).next_power_of_two();
-        let cap = cfg.buffer_flits.next_power_of_two();
-        self.ws.reset(nodes, vcs, wheel as usize, cap);
-        if msgs.is_empty() {
-            return Ok(());
-        }
-
-        // Sort indices, not messages: the caller's slice is never cloned.
-        self.ws.order.extend(0..msgs.len() as u32);
-        let ws = &mut self.ws;
-        ws.order.sort_by_key(|&i| (msgs[i as usize].inject, msgs[i as usize].id));
-
-        // Build worms over the shared route arena, in injection order.
-        let order = std::mem::take(&mut ws.order);
-        for &i in &order {
-            let m = msgs[i as usize];
-            let route_off = ws.routes.len() as u32;
-            build_route(&cfg, m.src, m.dst, &mut ws.routes);
-            ws.worms.push(Worm {
-                msg: m,
-                route_off,
-                route_len: ws.routes.len() as u32 - route_off,
-                flits: cfg.flits_for(m.bytes),
-                ejected: 0,
-                head_hop: route_off,
-                delivered: None,
-            });
-        }
-        ws.order = order;
-
-        // Per-node NI queues. Flits of one message stay contiguous (a worm
-        // may never interleave with another in the injection buffer); the
-        // head becomes available hop_latency after injection and the body
-        // follows at one flit per link_delay. Messages enter injection
-        // VC 0; VC spreading happens at the routers.
-        let hop = cfg.hop_latency();
-        for w in 0..ws.worms.len() {
-            let worm = &ws.worms[w];
-            let base = worm.msg.inject.ticks() + hop;
-            let src = worm.msg.src.index();
-            let flits = worm.flits;
-            for j in 0..flits {
-                let kind = if j == 0 {
-                    Kind::Head
-                } else if j == flits - 1 {
-                    Kind::Tail
-                } else {
-                    Kind::Body
-                };
-                let avail = base + j * cfg.link_delay;
-                let ready = if kind == Kind::Head { avail + cfg.router_delay } else { avail };
-                let hop = ws.worms[w].route_off;
-                ws.pending[src].push_back((avail, Flit { worm: w as u32, kind, ready, hop }));
-            }
-        }
-        // Rewrite availabilities as entry times — the prefix max, i.e. the
-        // cycle each flit enters the reference's (unbounded) injection
-        // buffer — and charge heads their router delay from that cycle.
-        // This decouples the charge from our *capped* injection buffers:
-        // a flit may sit in `pending` past its entry time waiting for a
-        // slot without perturbing any observable timing.
-        for (node, queue) in ws.pending.iter_mut().enumerate() {
-            let mut entered = 0u64;
-            for (entry, flit) in queue.iter_mut() {
-                entered = entered.max(*entry);
-                *entry = entered;
-                if flit.kind == Kind::Head {
-                    flit.ready = entered + cfg.router_delay;
-                }
-            }
-            if let Some(&(entry, _)) = queue.front() {
-                ws.ni_events.push(Reverse((entry, node as u32)));
-                ws.ni_sched[node] = entry;
-            }
-        }
-
-        let first = msgs[ws.order[0] as usize].inject.ticks();
-        let remaining = ws.worms.len();
-        let shards = shard::plan(self.sim_jobs, cfg.shape.height() as usize);
-        if shards > 1 {
-            shard::drain_sharded(&cfg, &mut self.ws, None, remaining, shards, &mut self.team)?;
-        } else {
-            let mut engine = Engine {
-                cfg,
-                vcs,
-                stride: NPORTS * vcs,
-                wheel,
-                cap,
-                ws: &mut self.ws,
-                remaining,
-                shard: None,
-            };
-            engine.advance(None, Goal::Drain)?;
-        }
-
-        // Emit records in injection order (what the reference produces and
-        // what per-source inter-arrival statistics expect) and fold this
-        // batch's channel activity into the session accumulators.
-        self.first_inject = Some(self.first_inject.map_or(first, |f| f.min(first)));
-        for worm in &self.ws.worms {
-            let delivered = worm.delivered.expect("all worms delivered");
-            self.last_delivery = self.last_delivery.max(delivered);
-            let hops = cfg.shape.hop_distance(worm.msg.src, worm.msg.dst);
-            self.sink.record(MsgRecord {
-                id: worm.msg.id,
-                src: worm.msg.src,
-                dst: worm.msg.dst,
-                bytes: worm.msg.bytes,
-                inject: worm.msg.inject.ticks(),
-                delivered,
-                hops,
-                zero_load: cfg.zero_load_latency(worm.msg.bytes, hops),
-            });
-        }
-        for (acc, &ticks) in self.busy.iter_mut().zip(&self.ws.busy_ticks) {
-            *acc += ticks;
-        }
-        Ok(())
-    }
-
-    /// Finishes the simulation: hands per-channel utilization over the
-    /// observed span to the sink and returns it.
-    pub fn into_sink(mut self) -> S {
-        let span = match self.first_inject {
-            Some(first) if self.last_delivery > first => (self.last_delivery - first) as f64,
-            _ => 0.0,
-        };
-        let mut util = Vec::new();
-        for node in 0..self.cfg.shape.nodes() {
-            for port in 0..NPORTS {
-                let busy = self.busy[node * NPORTS + port];
-                if busy > 0 && span > 0.0 {
-                    util.push((out_channel_id(node, port), busy as f64 / span));
-                }
-            }
-        }
-        self.sink.finish(util);
-        self.sink
-    }
-}
-
-impl MeshModel for FlitLevel {
-    fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
-        self.run(msgs);
-        let sim_jobs = self.sim_jobs;
-        let mut finished = std::mem::replace(self, FlitLevel::new(self.cfg));
-        // Keep the warmed-up workspace (and worker team) for the next batch.
-        self.sim_jobs = sim_jobs;
-        std::mem::swap(&mut self.ws, &mut finished.ws);
-        std::mem::swap(&mut self.team, &mut finished.team);
-        finished.into_sink()
     }
 }
 
@@ -744,7 +424,7 @@ impl Engine<'_> {
     /// would be: `advance(Before(c))` then `advance(Drain)` is
     /// cycle-identical to `advance(Drain)` alone, provided any events
     /// added in between lie at or beyond `c`. That property is what lets
-    /// the closed-loop engine ([`ClosedLoop`]) interleave out-of-band
+    /// the closed-loop engine ([`IncrementalFlit`]) interleave out-of-band
     /// injections with simulation.
     ///
     /// # Errors
@@ -887,7 +567,7 @@ impl Engine<'_> {
     /// buffer are pulled in directly when a pop frees a slot
     /// ([`move_flit`](Engine::move_flit)); their observable timing (head
     /// router charge, head-of-buffer exposure) is fixed by the entry
-    /// times precomputed in [`FlitLevel::run`], not by when they
+    /// times precomputed in [`IncrementalFlit::add_worm`], not by when they
     /// physically occupy a slot here.
     fn drain_ni(&mut self, t: u64) {
         let inj_buf = PORT_LOCAL * self.vcs;
@@ -1321,11 +1001,19 @@ impl LoopState {
     }
 }
 
-/// The incremental-injection flit engine core: accepts one message at a
-/// time (nondecreasing injection order, validated by the caller) and
-/// reports each message's delivery cycle immediately, while guaranteeing
-/// that the *final* log is cycle-identical to a batch
-/// [`FlitLevel::run`] over the same injection schedule.
+/// The cycle-accurate flit router as a network engine: accepts one message
+/// at a time (nondecreasing injection order) and reports each message's
+/// delivery cycle immediately, while guaranteeing that the *final* log is
+/// cycle-identical to a batch [`simulate`](NetEngine::simulate) over the
+/// same injection schedule — and so to the
+/// [`FlitCycleReference`](crate::FlitCycleReference) oracle.
+///
+/// Like [`OnlineWormhole`](crate::OnlineWormhole), the engine is generic
+/// over its [`LogSink`]: the default [`NetLog`] retains every record;
+/// [`IncrementalFlit::streaming`] folds deliveries into a constant-memory
+/// [`StreamingLog`] instead. Records are emitted at
+/// [`finish`](NetEngine::finish), once delivery times are final, so
+/// mid-run the sink is still empty.
 ///
 /// # Committed and speculative state
 ///
@@ -1343,7 +1031,7 @@ impl LoopState {
 ///   trajectory, which is what makes the final log identical.
 /// - **speculative** — a clone of the committed state run ahead far enough
 ///   to deliver the newest message, *assuming no further traffic*. Its
-///   delivery cycle is the value [`send`](ClosedLoop::send) returns: the
+///   delivery cycle is the value [`send`](NetEngine::send) returns: the
 ///   engine's best feedback given everything injected so far.
 ///
 /// On the next send, the speculation is **promoted** to committed for free
@@ -1351,49 +1039,129 @@ impl LoopState {
 /// bursty traffic: speculation barely runs ahead), and discarded otherwise
 /// — the committed state then re-advances, redoing only the cycles the
 /// speculation guessed at. Either way no cycle is ever committed until it
-/// is final.
+/// is final. A batch [`simulate`](NetEngine::simulate) needs no feedback:
+/// it queues every worm on the committed state and drains once.
+///
+/// # Example
+///
+/// ```
+/// use commchar_des::SimTime;
+/// use commchar_mesh::{IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId};
+///
+/// let msgs = vec![NetMessage {
+///     id: 0, src: NodeId(0), dst: NodeId(3), bytes: 16, inject: SimTime::ZERO,
+/// }];
+/// let log = IncrementalFlit::new(MeshConfig::new(2, 2)).simulate(&msgs).unwrap();
+/// assert_eq!(log.records().len(), 1);
+/// ```
 #[derive(Debug)]
-pub(crate) struct ClosedLoop {
+pub struct IncrementalFlit<S: LogSink = NetLog> {
     cfg: MeshConfig,
     committed: LoopState,
     spec: Option<LoopState>,
-    /// Per-node prefix max of NI entry times — the running counterpart of
-    /// the batch model's entry-time rewrite over each pending queue.
+    /// Per-node prefix max of NI entry times: the cycle each queued flit
+    /// enters the reference model's unbounded injection buffer.
     entered: Vec<u64>,
+    sink: S,
+    last_inject: SimTime,
+    /// `--sim-jobs`: worker threads for the final drain.
+    sim_jobs: usize,
 }
 
-impl ClosedLoop {
-    /// # Errors
+impl IncrementalFlit {
+    /// Creates an idle router logging into a [`NetLog`].
     ///
-    /// [`EngineError::UnsupportedTopology`] on an undersized
-    /// virtual-channel budget (see [`FlitLevel::try_new`]).
-    pub(crate) fn try_new(cfg: MeshConfig) -> Result<Self, EngineError> {
+    /// # Panics
+    ///
+    /// Panics when the configuration lacks the virtual channels its
+    /// (topology × routing) pair needs for deadlock freedom (the torus
+    /// dateline escape classes, the adaptive XY/YX classes) — use
+    /// [`IncrementalFlit::try_new`] for the typed error.
+    pub fn new(cfg: MeshConfig) -> Self {
+        IncrementalFlit::with_sink(cfg, NetLog::new())
+    }
+
+    /// [`new`](IncrementalFlit::new), surfacing an undersized
+    /// virtual-channel budget as [`EngineError::UnsupportedTopology`]
+    /// instead of a panic.
+    pub fn try_new(cfg: MeshConfig) -> Result<Self, EngineError> {
+        IncrementalFlit::try_with_sink(cfg, NetLog::new())
+    }
+}
+
+impl IncrementalFlit<StreamingLog> {
+    /// Creates an idle router accumulating into a [`StreamingLog`] sized
+    /// for this mesh — constant sink memory however many messages are
+    /// simulated.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an undersized virtual-channel budget (see
+    /// [`IncrementalFlit::new`]).
+    pub fn streaming(cfg: MeshConfig) -> Self {
+        let nodes = cfg.shape.nodes();
+        IncrementalFlit::with_sink(cfg, StreamingLog::new(nodes))
+    }
+}
+
+impl<S: LogSink> IncrementalFlit<S> {
+    /// Creates an idle router delivering records into `sink`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an undersized virtual-channel budget (see
+    /// [`IncrementalFlit::new`]).
+    pub fn with_sink(cfg: MeshConfig, sink: S) -> Self {
+        match IncrementalFlit::try_with_sink(cfg, sink) {
+            Ok(engine) => engine,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`with_sink`](IncrementalFlit::with_sink), surfacing an undersized
+    /// virtual-channel budget as [`EngineError::UnsupportedTopology`]
+    /// instead of a panic.
+    pub fn try_with_sink(cfg: MeshConfig, sink: S) -> Result<Self, EngineError> {
         EngineError::check_flit(&cfg)?;
-        let mut ws = Workspace::default();
-        let wheel = (cfg.link_delay.max(cfg.router_delay) + 2).next_power_of_two();
-        ws.reset(
-            cfg.shape.nodes(),
-            cfg.virtual_channels,
-            wheel as usize,
-            cfg.buffer_flits.next_power_of_two(),
-        );
-        Ok(ClosedLoop {
+        Ok(IncrementalFlit {
             cfg,
-            committed: LoopState { ws, clock: None, remaining: 0, finalized: 0 },
+            committed: LoopState {
+                ws: Workspace::new(&cfg),
+                clock: None,
+                remaining: 0,
+                finalized: 0,
+            },
             spec: None,
             entered: vec![0; cfg.shape.nodes()],
+            sink,
+            last_inject: SimTime::ZERO,
+            sim_jobs: 1,
         })
+    }
+
+    /// Sets the `--sim-jobs` worker count for the final drain: `1` (the
+    /// default) is the serial engine, `0` means one worker per hardware
+    /// thread, `N > 1` partitions the mesh into row bands run by a
+    /// conservative-window wavefront (see the `shard` module docs).
+    ///
+    /// Per-send feedback is inherently sequential (each answer depends on
+    /// all traffic so far), so sends are unaffected; what parallelizes is
+    /// the closing drain of every still-in-flight worm — the whole run of a
+    /// batch [`simulate`](NetEngine::simulate) — which dominates wall-clock
+    /// on large meshes. The log is byte-identical for every value.
+    pub fn with_sim_jobs(mut self, sim_jobs: usize) -> Self {
+        self.sim_jobs = sim_jobs;
+        self
     }
 
     /// Runs one state's event loop toward `goal`.
     fn advance(cfg: &MeshConfig, st: &mut LoopState, goal: Goal) -> Result<(), EngineError> {
         let vcs = cfg.virtual_channels;
-        let wheel = (cfg.link_delay.max(cfg.router_delay) + 2).next_power_of_two();
         let mut engine = Engine {
             cfg: *cfg,
             vcs,
             stride: NPORTS * vcs,
-            wheel,
+            wheel: wheel_slots(cfg),
             cap: cfg.buffer_flits.next_power_of_two(),
             ws: &mut st.ws,
             remaining: st.remaining,
@@ -1405,11 +1173,13 @@ impl ClosedLoop {
     }
 
     /// Builds the message's worm and queues its flits at the source NI of
-    /// the committed state, mirroring the batch model's construction: the
-    /// head becomes available `hop_latency` after injection, the body
-    /// follows at one flit per `link_delay`, and entry times are the
-    /// running per-node prefix max. Entry times are always at or beyond
-    /// the safe horizon, so appending never touches a committed cycle.
+    /// the committed state: the head becomes available `hop_latency` after
+    /// injection, the body follows at one flit per `link_delay`, and entry
+    /// times are the running per-node prefix max. Flits of one message stay
+    /// contiguous (a worm may never interleave with another in the
+    /// injection buffer), and messages enter injection VC 0; VC spreading
+    /// happens at the routers. Entry times are always at or beyond the safe
+    /// horizon, so appending never touches a committed cycle.
     fn add_worm(&mut self, m: NetMessage) -> u32 {
         let cfg = self.cfg;
         let ws = &mut self.committed.ws;
@@ -1440,9 +1210,12 @@ impl ClosedLoop {
             let avail = base + j * cfg.link_delay;
             let entry = self.entered[src].max(avail);
             self.entered[src] = entry;
-            // Mirrors the batch model's entry-time rewrite: heads are
-            // charged their router delay from the entry cycle, while body
-            // and tail flits keep their raw availability.
+            // Heads are charged their router delay from the entry cycle —
+            // when they enter the reference's unbounded injection buffer —
+            // which decouples the charge from our *capped* injection
+            // buffers: a flit may sit in `pending` past its entry time
+            // waiting for a slot without perturbing any observable timing.
+            // Body and tail flits keep their raw availability.
             let ready = if kind == Kind::Head { entry + cfg.router_delay } else { avail };
             ws.pending[src].push_back((entry, Flit { worm: w, kind, ready, hop: route_off }));
         }
@@ -1458,15 +1231,92 @@ impl ClosedLoop {
         w
     }
 
-    /// Injects `m` (nondecreasing injection order is the caller's
-    /// invariant) and returns the cycle its tail flit reaches the
+    /// Promotes the speculation (with no further sends it is
+    /// unconditionally the true trajectory), drains every worm, emits one
+    /// record per message in injection order (what the reference produces
+    /// and what per-source inter-arrival statistics expect) and hands
+    /// per-channel utilization to the sink.
+    ///
+    /// With `sim_jobs > 1` the drain — the only whole-network advance left,
+    /// and the bulk of the remaining work on a large mesh — runs on the
+    /// sharded wavefront engine after splitting the committed state;
+    /// per-send answers were already returned and are untouched, so
+    /// `sim_jobs` cannot perturb them, and the drain itself is
+    /// cycle-identical.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Wedged`] if the router deadlocks before every worm is
+    /// delivered.
+    fn drain(mut self) -> Result<S, EngineError> {
+        if let Some(spec) = self.spec.take() {
+            self.committed = spec;
+        }
+        let cfg = self.cfg;
+        let shards = shard::plan(self.sim_jobs, cfg.shape.height() as usize);
+        if shards > 1 && self.committed.remaining > 0 {
+            let st = &mut self.committed;
+            shard::drain_sharded(&cfg, &mut st.ws, st.clock, st.remaining, shards)?;
+        } else {
+            Self::advance(&cfg, &mut self.committed, Goal::Drain)?;
+        }
+        let mut first_inject: Option<u64> = None;
+        let mut last_delivery = 0u64;
+        for worm in &self.committed.ws.worms {
+            let delivered = worm.delivered.expect("all worms delivered");
+            first_inject.get_or_insert(worm.msg.inject.ticks());
+            last_delivery = last_delivery.max(delivered);
+            let hops = cfg.shape.hop_distance(worm.msg.src, worm.msg.dst);
+            self.sink.record(MsgRecord {
+                id: worm.msg.id,
+                src: worm.msg.src,
+                dst: worm.msg.dst,
+                bytes: worm.msg.bytes,
+                inject: worm.msg.inject.ticks(),
+                delivered,
+                hops,
+                zero_load: cfg.zero_load_latency(worm.msg.bytes, hops),
+            });
+        }
+        let span = match first_inject {
+            Some(first) if last_delivery > first => (last_delivery - first) as f64,
+            _ => 0.0,
+        };
+        let mut util = Vec::new();
+        for node in 0..cfg.shape.nodes() {
+            for port in 0..NPORTS {
+                let busy = self.committed.ws.busy_ticks[node * NPORTS + port];
+                if busy > 0 && span > 0.0 {
+                    util.push((out_channel_id(node, port), busy as f64 / span));
+                }
+            }
+        }
+        self.sink.finish(util);
+        Ok(self.sink)
+    }
+}
+
+impl<S: LogSink> NetEngine for IncrementalFlit<S> {
+    type Sink = S;
+
+    fn config(&self) -> &MeshConfig {
+        &self.cfg
+    }
+
+    fn sink(&self) -> &S {
+        &self.sink
+    }
+
+    /// Injects `m` and returns the cycle its tail flit reaches the
     /// destination NI, given all traffic injected so far.
     ///
     /// # Errors
     ///
+    /// [`EngineError::OutOfOrder`] on a time-ordering violation, or
     /// [`EngineError::Wedged`] if the router deadlocks before the answer
     /// exists.
-    pub(crate) fn send(&mut self, m: NetMessage) -> Result<u64, EngineError> {
+    fn send(&mut self, m: NetMessage) -> Result<SimTime, EngineError> {
+        EngineError::check_order(&mut self.last_inject, &m)?;
         // Cycles strictly below the horizon can no longer change: this
         // message's first flit cannot enter an NI before it, and neither
         // can any later message's.
@@ -1496,80 +1346,34 @@ impl ClosedLoop {
         Self::advance(&self.cfg, &mut scratch, Goal::Deliver(w))?;
         let delivered = scratch.ws.worms[w as usize].delivered.expect("Deliver goal reached");
         self.spec = Some(scratch);
-        Ok(delivered)
+        Ok(SimTime::from_ticks(delivered))
     }
 
-    /// Finishes the run: promotes the speculation (with no further sends it
-    /// is unconditionally the true trajectory), drains every worm, emits
-    /// one record per message in injection order, and hands per-channel
-    /// utilization to the sink — byte-identical to what a batch
-    /// [`FlitLevel`] produces for the same schedule.
-    ///
-    /// With `sim_jobs > 1` the drain — the only whole-network advance left,
-    /// and the bulk of the remaining work on a large mesh — runs on the
-    /// sharded wavefront engine after splitting the committed mid-run
-    /// state; per-send answers were already returned and are untouched, so
-    /// `sim_jobs` cannot perturb them, and the drain itself is
-    /// cycle-identical.
+    /// Finishes the simulation: drains every in-flight worm and returns the
+    /// sink with one record per message in injection order and per-channel
+    /// utilization folded in.
     ///
     /// # Panics
     ///
     /// Panics if the drain wedges (the [`EngineError::Wedged`] display) —
-    /// the sink-returning `finish` contract has no error channel.
-    pub(crate) fn finish_into_jobs<S: LogSink>(mut self, sink: &mut S, sim_jobs: usize) {
-        if let Some(spec) = self.spec.take() {
-            self.committed = spec;
+    /// the sink-returning `finish` contract has no error channel; a batch
+    /// [`simulate`](NetEngine::simulate) returns the typed error instead.
+    fn finish(self) -> S {
+        self.drain().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Batch run without per-message feedback: queues every worm on the
+    /// committed state in `(inject, id)` order, skips speculation and
+    /// drains once — the same sink as sending each message and finishing.
+    fn simulate(mut self, msgs: &[NetMessage]) -> Result<S, EngineError> {
+        // Speculation is only a shortcut: the committed state holds final
+        // cycles alone, so new worms may be queued on it directly.
+        self.spec = None;
+        for m in crate::engine::sorted(msgs) {
+            EngineError::check_order(&mut self.last_inject, &m)?;
+            self.add_worm(m);
         }
-        let shards = shard::plan(sim_jobs, self.cfg.shape.height() as usize);
-        let result = if shards > 1 && self.committed.remaining > 0 {
-            let mut team = None;
-            shard::drain_sharded(
-                &self.cfg,
-                &mut self.committed.ws,
-                self.committed.clock,
-                self.committed.remaining,
-                shards,
-                &mut team,
-            )
-        } else {
-            Self::advance(&self.cfg, &mut self.committed, Goal::Drain)
-        };
-        if let Err(e) = result {
-            panic!("{e}");
-        }
-        let cfg = self.cfg;
-        let mut first_inject: Option<u64> = None;
-        let mut last_delivery = 0u64;
-        for worm in &self.committed.ws.worms {
-            let delivered = worm.delivered.expect("all worms delivered");
-            first_inject.get_or_insert(worm.msg.inject.ticks());
-            last_delivery = last_delivery.max(delivered);
-            let hops = cfg.shape.hop_distance(worm.msg.src, worm.msg.dst);
-            sink.record(MsgRecord {
-                id: worm.msg.id,
-                src: worm.msg.src,
-                dst: worm.msg.dst,
-                bytes: worm.msg.bytes,
-                inject: worm.msg.inject.ticks(),
-                delivered,
-                hops,
-                zero_load: cfg.zero_load_latency(worm.msg.bytes, hops),
-            });
-        }
-        let span = match first_inject {
-            Some(first) if last_delivery > first => (last_delivery - first) as f64,
-            _ => 0.0,
-        };
-        let mut util = Vec::new();
-        for node in 0..cfg.shape.nodes() {
-            for port in 0..NPORTS {
-                let busy = self.committed.ws.busy_ticks[node * NPORTS + port];
-                if busy > 0 && span > 0.0 {
-                    util.push((out_channel_id(node, port), busy as f64 / span));
-                }
-            }
-        }
-        sink.finish(util);
+        self.drain()
     }
 }
 
@@ -1578,7 +1382,7 @@ mod tests {
     use commchar_des::SimTime;
 
     use super::*;
-    use crate::{MeshModel, OnlineWormhole};
+    use crate::OnlineWormhole;
 
     fn msg(id: u64, src: u16, dst: u16, bytes: u32, inject: u64) -> NetMessage {
         NetMessage {
@@ -1595,8 +1399,8 @@ mod tests {
         let cfg = MeshConfig::new(4, 4);
         for (src, dst, bytes) in [(0u16, 15u16, 32u32), (3, 12, 8), (5, 6, 100)] {
             let m = vec![msg(0, src, dst, bytes, 0)];
-            let flit = FlitLevel::new(cfg).simulate(&m);
-            let online = OnlineWormhole::new(cfg).simulate(&m);
+            let flit = IncrementalFlit::new(cfg).simulate(&m).unwrap();
+            let online = OnlineWormhole::new(cfg).simulate(&m).unwrap();
             assert_eq!(
                 flit.records()[0].delivered,
                 online.records()[0].delivered,
@@ -1611,7 +1415,7 @@ mod tests {
         for vcs in [1, 2, 4] {
             let cfg = MeshConfig::new(4, 4).with_virtual_channels(vcs);
             let m = vec![msg(0, 0, 15, 64, 0)];
-            let log = FlitLevel::new(cfg).simulate(&m);
+            let log = IncrementalFlit::new(cfg).simulate(&m).unwrap();
             assert_eq!(log.records()[0].blocked(), 0, "vcs={vcs}");
         }
     }
@@ -1631,7 +1435,7 @@ mod tests {
                 ));
             }
             let msgs: Vec<NetMessage> = msgs.into_iter().filter(|m| m.src != m.dst).collect();
-            let log = FlitLevel::new(cfg).simulate(&msgs);
+            let log = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
             assert_eq!(log.records().len(), msgs.len());
             log.check_invariants(cfg.shape).unwrap();
         }
@@ -1642,7 +1446,7 @@ mod tests {
         let cfg = MeshConfig::new(4, 2);
         // Everyone hammers node 0 simultaneously.
         let msgs: Vec<NetMessage> = (1..8).map(|i| msg(i, i as u16, 0, 64, 0)).collect();
-        let log = FlitLevel::new(cfg).simulate(&msgs);
+        let log = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
         let blocked: u64 = log.records().iter().map(|r| r.blocked()).sum();
         assert!(blocked > 0, "hotspot must create contention");
     }
@@ -1656,7 +1460,8 @@ mod tests {
         let base = MeshConfig::new(4, 1).with_buffer_flits(2);
         let msgs = vec![msg(0, 0, 3, 512, 0), msg(1, 1, 2, 8, 20)];
         let lat = |vcs: usize| {
-            let log = FlitLevel::new(base.with_virtual_channels(vcs)).simulate(&msgs);
+            let log =
+                IncrementalFlit::new(base.with_virtual_channels(vcs)).simulate(&msgs).unwrap();
             log.records().iter().find(|r| r.id == 1).unwrap().latency()
         };
         let one = lat(1);
@@ -1668,7 +1473,7 @@ mod tests {
     fn same_source_messages_serialize() {
         let cfg = MeshConfig::new(4, 1);
         let msgs = vec![msg(0, 0, 2, 64, 0), msg(1, 0, 3, 64, 0)];
-        let log = FlitLevel::new(cfg).simulate(&msgs);
+        let log = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
         let r0 = log.records().iter().find(|r| r.id == 0).unwrap();
         let r1 = log.records().iter().find(|r| r.id == 1).unwrap();
         assert!(r1.blocked() > 0 || r0.blocked() > 0);
@@ -1678,23 +1483,10 @@ mod tests {
     fn utilization_bounded() {
         let cfg = MeshConfig::new(2, 2).with_virtual_channels(2);
         let msgs: Vec<NetMessage> = (0..20).map(|i| msg(i, 0, 3, 32, i * 5)).collect();
-        let log = FlitLevel::new(cfg).simulate(&msgs);
+        let log = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
         for &(_, u) in log.utilization() {
             assert!(u > 0.0 && u <= 1.0 + 1e-9, "utilization {u} out of range");
         }
-    }
-
-    #[test]
-    fn repeated_batches_reuse_the_workspace() {
-        let cfg = MeshConfig::new(4, 2).with_virtual_channels(2);
-        let msgs: Vec<NetMessage> =
-            (0..30).map(|i| msg(i, (i % 8) as u16, ((i * 5 + 2) % 8) as u16, 24, i * 3)).collect();
-        let msgs: Vec<NetMessage> = msgs.into_iter().filter(|m| m.src != m.dst).collect();
-        let mut model = FlitLevel::new(cfg);
-        let a = model.simulate(&msgs);
-        let b = model.simulate(&msgs);
-        assert_eq!(a.records(), b.records());
-        assert_eq!(a.utilization(), b.utilization());
     }
 
     #[test]
@@ -1704,10 +1496,8 @@ mod tests {
             .map(|i| msg(i, (i % 8) as u16, ((i * 3 + 1) % 8) as u16, 8 + (i % 40) as u32, i * 4))
             .filter(|m| m.src != m.dst)
             .collect();
-        let log = FlitLevel::new(cfg).simulate(&msgs);
-        let mut stream = FlitLevel::streaming(cfg);
-        stream.run(&msgs);
-        let s = stream.into_sink();
+        let log = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
+        let s = IncrementalFlit::streaming(cfg).simulate(&msgs).unwrap();
         assert_eq!(log.records().len() as u64, s.messages());
         assert_eq!(log.utilization(), s.utilization());
         let a = log.summary();

@@ -92,7 +92,7 @@ use std::sync::{Arc, Mutex};
 
 use commchar_pool::{Job, Team};
 
-use super::{Engine, Ev, Kind, Landing, ShardCtx, Workspace, NPORTS};
+use super::{wheel_slots, Engine, Ev, Kind, Landing, ShardCtx, Workspace, NPORTS};
 use crate::engine::EngineError;
 use crate::{MeshConfig, Topology};
 
@@ -169,18 +169,16 @@ struct Shared {
     clock0: Option<u64>,
 }
 
-/// Drains a prepared workspace to completion on `shards` workers (batch
-/// start: `clock = None`; mid-run closed-loop state: the last committed
-/// cycle), leaving merged per-worm deliveries and per-output busy ticks
-/// in `ws` exactly as the serial drain would. The worker `team` is
-/// lazily (re)created and reused across calls when large enough.
+/// Drains a prepared workspace to completion on a team of `shards` workers
+/// (from a batch start, `clock = None`, or from the last committed cycle
+/// of a closed-loop run), leaving merged per-worm deliveries and
+/// per-output busy ticks in `ws` exactly as the serial drain would.
 pub(super) fn drain_sharded(
     cfg: &MeshConfig,
     ws: &mut Workspace,
     clock: Option<u64>,
     remaining: usize,
     shards: usize,
-    team: &mut Option<Team>,
 ) -> Result<(), EngineError> {
     debug_assert!(shards >= 2);
     let rows = cfg.shape.height() as usize;
@@ -206,10 +204,7 @@ pub(super) fn drain_sharded(
         clock0: clock,
     });
 
-    let team = match team {
-        Some(t) if t.workers() >= shards => t,
-        slot => slot.insert(Team::new(shards)),
-    };
+    let team = Team::new(shards);
     let jobs: Vec<Job> = (0..shards)
         .map(|s| {
             let sh = Arc::clone(&shared);
@@ -384,7 +379,7 @@ fn wedge_report_merged(cfg: &MeshConfig, ws: &mut Workspace, remaining: usize, t
         cfg: *cfg,
         vcs,
         stride: NPORTS * vcs,
-        wheel: (cfg.link_delay.max(cfg.router_delay) + 2).next_power_of_two(),
+        wheel: wheel_slots(cfg),
         cap: cfg.buffer_flits.next_power_of_two(),
         ws,
         remaining,
@@ -398,7 +393,7 @@ fn wedge_report_merged(cfg: &MeshConfig, ws: &mut Workspace, remaining: usize, t
 fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
     let cfg = sh.cfg;
     let vcs = cfg.virtual_channels;
-    let wheel = (cfg.link_delay.max(cfg.router_delay) + 2).next_power_of_two();
+    let wheel = wheel_slots(&cfg);
     let cap = cfg.buffer_flits.next_power_of_two();
     let guard_limit: u64 = 200_000_000;
 

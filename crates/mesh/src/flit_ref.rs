@@ -1,12 +1,12 @@
 //! The retained cycle-loop flit router — the validation oracle for the
-//! event-driven [`FlitLevel`](crate::FlitLevel).
+//! event-driven [`IncrementalFlit`](crate::IncrementalFlit).
 //!
 //! This is the original cycle-accurate implementation: it ticks one cycle
 //! at a time and rescans every node × port × virtual-channel buffer per
 //! cycle. That makes it easy to audit against the router microarchitecture
 //! (every cycle's full state is visited in a fixed order) and hopelessly
 //! slow for long runs — which is exactly the division of labour: the
-//! event-driven [`FlitLevel`](crate::FlitLevel) is the production model,
+//! event-driven [`IncrementalFlit`](crate::IncrementalFlit) is the production model,
 //! and this reference pins its semantics. The randomized equivalence
 //! suite (`tests/equivalence.rs`) asserts the two produce byte-identical
 //! [`NetLog`]s across mesh shapes, virtual-channel counts and seeds.
@@ -19,9 +19,7 @@ use std::collections::VecDeque;
 
 use crate::engine::EngineError;
 use crate::topology::Dir;
-use crate::{
-    MeshConfig, MeshModel, MsgRecord, NetLog, NetMessage, NodeId, HOP_PORT_BITS, HOP_PORT_MASK,
-};
+use crate::{MeshConfig, MsgRecord, NetLog, NetMessage, NodeId, HOP_PORT_BITS, HOP_PORT_MASK};
 
 const PORT_E: usize = 0;
 const PORT_W: usize = 1;
@@ -101,13 +99,13 @@ struct Worm {
 }
 
 /// The original cycle-loop router model, retained as the oracle for the
-/// event-driven [`FlitLevel`](crate::FlitLevel). Identical router
+/// event-driven [`IncrementalFlit`](crate::IncrementalFlit). Identical router
 /// microarchitecture, O(network) work per simulated cycle.
 ///
 /// # Example
 ///
 /// ```
-/// use commchar_mesh::{FlitCycleReference, MeshConfig, MeshModel, NetMessage, NodeId};
+/// use commchar_mesh::{FlitCycleReference, MeshConfig, NetMessage, NodeId};
 /// use commchar_des::SimTime;
 ///
 /// let msgs = vec![NetMessage {
@@ -412,8 +410,15 @@ impl Sim<'_> {
     }
 }
 
-impl MeshModel for FlitCycleReference {
-    fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
+impl FlitCycleReference {
+    /// Simulates `msgs` (any order; they are sorted by `(inject, id)`) and
+    /// returns the completed network log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router wedges, with a per-worm account of what is
+    /// still in flight.
+    pub fn simulate(&self, msgs: &[NetMessage]) -> NetLog {
         let cfg = self.cfg;
         let vcs = cfg.virtual_channels;
         let nodes = cfg.shape.nodes();
@@ -546,7 +551,7 @@ mod tests {
     use commchar_des::SimTime;
 
     use super::*;
-    use crate::{MeshModel, OnlineWormhole};
+    use crate::{NetEngine, OnlineWormhole};
 
     fn msg(id: u64, src: u16, dst: u16, bytes: u32, inject: u64) -> NetMessage {
         NetMessage {
@@ -563,7 +568,7 @@ mod tests {
         let cfg = MeshConfig::new(4, 4);
         let m = vec![msg(0, 0, 15, 32, 0)];
         let flit = FlitCycleReference::new(cfg).simulate(&m);
-        let online = OnlineWormhole::new(cfg).simulate(&m);
+        let online = OnlineWormhole::new(cfg).simulate(&m).unwrap();
         assert_eq!(flit.records()[0].delivered, online.records()[0].delivered);
     }
 
@@ -591,7 +596,7 @@ mod tests {
         let cfg = MeshConfig::new_torus(4, 4).with_virtual_channels(2);
         let m = vec![msg(0, 0, 15, 32, 0)];
         let flit = FlitCycleReference::new(cfg).simulate(&m);
-        let online = OnlineWormhole::new(cfg).simulate(&m);
+        let online = OnlineWormhole::new(cfg).simulate(&m).unwrap();
         assert_eq!(flit.records()[0].delivered, online.records()[0].delivered);
         assert_eq!(flit.records()[0].hops, 2, "opposite corners wrap to 2 hops");
     }

@@ -3,34 +3,35 @@
 //! A 2-D mesh, wormhole-routed interconnection network simulator — the
 //! network substrate of the HPCA'97 communication-characterization
 //! methodology. The paper's simulator was process-oriented (CSIM); this
-//! crate provides two interchangeable models sharing one log schema:
+//! crate provides two interchangeable engines behind one trait,
+//! [`NetEngine`], sharing one log schema:
 //!
 //! - [`OnlineWormhole`] — an event/recurrence wormhole model at channel
 //!   granularity. Messages must be injected in nondecreasing time order and
-//!   each [`OnlineWormhole::send`] immediately returns the delivery time,
+//!   each [`send`](NetEngine::send) immediately returns the delivery time,
 //!   which is exactly what the execution-driven (closed-loop) simulator
 //!   needs: the network's feedback steers application time.
-//! - [`FlitLevel`] — a cycle-accurate router model (finite input buffers,
-//!   round-robin switch allocation, wormhole flow control) used for
-//!   cross-validation and ablation of the faster model. Its engine is
+//! - [`IncrementalFlit`] — a cycle-accurate router model (finite input
+//!   buffers, round-robin switch allocation, wormhole flow control) used
+//!   for cross-validation and ablation of the faster model. Its engine is
 //!   event-driven (per-output request queues, hop cursors, a binary-heap
 //!   event wheel) but cycle-identical to the retained cycle-loop oracle
 //!   [`FlitCycleReference`], which pins its semantics via a randomized
-//!   equivalence suite.
+//!   equivalence suite. It answers each send by running a speculative copy
+//!   of the network just far enough to deliver it, while its committed
+//!   state only ever processes cycles no later send can change.
 //!
-//! Both models close the paper's Figure 1 feedback loop through the
-//! [`NetEngine`] trait: [`OnlineWormhole`] natively, and [`FlitLevel`]
-//! through [`IncrementalFlit`], an incremental-injection mode that
-//! advances the event wheel just far enough to report each delivery while
-//! keeping the final log cycle-identical to a batch run. Drivers select
-//! between them at runtime via [`EngineKind`].
+//! Both engines close the paper's Figure 1 feedback loop through
+//! [`NetEngine::send`]/[`NetEngine::finish`], and both run whole batches
+//! through [`NetEngine::simulate`]. Drivers select between them at runtime
+//! via [`EngineKind`].
 //!
 //! All models produce a [`NetLog`]: one record per message with injection
 //! time, delivery time, hop count and blocked (contention) time — the raw
 //! material the statistical analysis operates on.
 //!
 //! For long-horizon runs where retaining per-message records is too
-//! expensive, [`OnlineWormhole`] and [`FlitLevel`] are generic over a
+//! expensive, both engines are generic over a
 //! [`LogSink`]: a [`StreamingLog`] folds each delivery into online
 //! moments, auto-widening histograms and per-pair traffic matrices in
 //! O(bins + P²) memory, independent of message count.
@@ -38,21 +39,21 @@
 //! # Example
 //!
 //! ```
-//! use commchar_mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole};
+//! use commchar_mesh::{IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole};
 //! use commchar_des::SimTime;
 //!
 //! let cfg = MeshConfig::new(4, 2); // 4x2 mesh, 8 nodes
+//! let msg = NetMessage { id: 0, src: NodeId(0), dst: NodeId(7), bytes: 40, inject: SimTime::ZERO };
+//!
+//! // Closed loop: inject, learn the delivery time at once.
 //! let mut net = OnlineWormhole::new(cfg);
-//! let delivered = net.send(NetMessage {
-//!     id: 0,
-//!     src: NodeId(0),
-//!     dst: NodeId(7),
-//!     bytes: 40,
-//!     inject: SimTime::ZERO,
-//! });
+//! let delivered = net.send(msg).unwrap();
 //! assert!(delivered > SimTime::ZERO);
-//! let log = net.into_log();
-//! assert_eq!(log.records().len(), 1);
+//! assert_eq!(net.finish().records().len(), 1);
+//!
+//! // Batch: the same trait runs a whole message list.
+//! let log = IncrementalFlit::new(cfg).simulate(&[msg]).unwrap();
+//! assert_eq!(log.records()[0].delivered, delivered.ticks());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -68,8 +69,8 @@ mod topology;
 mod wormhole;
 
 pub use config::MeshConfig;
-pub use engine::{EngineError, EngineKind, IncrementalFlit, NetEngine};
-pub use flit::FlitLevel;
+pub use engine::{EngineError, EngineKind, NetEngine};
+pub use flit::IncrementalFlit;
 pub use flit_ref::FlitCycleReference;
 pub use log::{MsgRecord, NetLog, NetSummary};
 pub use sink::{LogSink, StreamingLog};
@@ -94,13 +95,4 @@ pub struct NetMessage {
     pub bytes: u32,
     /// Time the message is handed to the source network interface.
     pub inject: SimTime,
-}
-
-/// A batch network model: simulate a whole message list and produce a log.
-///
-/// Implemented by both network models so experiments can swap them.
-pub trait MeshModel {
-    /// Simulates `msgs` (any order; they are sorted by injection time) and
-    /// returns the completed network log.
-    fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog;
 }

@@ -68,14 +68,14 @@ pub struct NetSummary {
 /// # Example
 ///
 /// ```
-/// use commchar_mesh::{MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole};
+/// use commchar_mesh::{MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole};
 /// use commchar_des::SimTime;
 ///
 /// let msgs = vec![
 ///     NetMessage { id: 0, src: NodeId(0), dst: NodeId(1), bytes: 8, inject: SimTime::ZERO },
 ///     NetMessage { id: 1, src: NodeId(0), dst: NodeId(3), bytes: 8, inject: SimTime::from_ticks(5) },
 /// ];
-/// let log = OnlineWormhole::new(MeshConfig::new(2, 2)).simulate(&msgs);
+/// let log = OnlineWormhole::new(MeshConfig::new(2, 2)).simulate(&msgs).unwrap();
 /// assert_eq!(log.summary().messages, 2);
 /// ```
 #[derive(Clone, Debug, Default)]

@@ -64,7 +64,7 @@ const DEFAULT_BINS: usize = 64;
 ///
 /// ```
 /// use commchar_des::SimTime;
-/// use commchar_mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole, StreamingLog};
+/// use commchar_mesh::{MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole, StreamingLog};
 ///
 /// let cfg = MeshConfig::new(4, 2);
 /// let mut net = OnlineWormhole::with_sink(cfg, StreamingLog::new(cfg.shape.nodes()));
@@ -74,8 +74,9 @@ const DEFAULT_BINS: usize = 64;
 ///     dst: NodeId(7),
 ///     bytes: 40,
 ///     inject: SimTime::ZERO,
-/// });
-/// let stream = net.into_sink();
+/// })
+/// .unwrap();
+/// let stream = net.finish();
 /// assert_eq!(stream.messages(), 1);
 /// assert!(stream.summary().mean_latency > 0.0);
 /// ```

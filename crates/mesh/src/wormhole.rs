@@ -2,9 +2,10 @@
 
 use commchar_des::SimTime;
 
+use crate::engine::{EngineError, NetEngine};
 use crate::log::ticks;
 use crate::sink::{LogSink, StreamingLog};
-use crate::{MeshConfig, MeshModel, MsgRecord, NetLog, NetMessage};
+use crate::{MeshConfig, MsgRecord, NetLog, NetMessage};
 
 /// The channel-granularity wormhole model.
 ///
@@ -22,14 +23,15 @@ use crate::{MeshConfig, MeshModel, MsgRecord, NetLog, NetMessage};
 /// while the header is blocked — the defining property of wormhole routing —
 /// so one congested message backs up every channel of its partial path.
 ///
-/// Messages must be injected in nondecreasing time order (asserted): the
-/// model resolves contention in injection order, which is exact for the
-/// execution-driven co-simulation (its event loop emits messages in global
-/// time order) and a tight approximation for batch trace replay.
+/// Messages must be injected in nondecreasing time order (an
+/// [`EngineError::OutOfOrder`] otherwise): the model resolves contention in
+/// injection order, which is exact for the execution-driven co-simulation
+/// (its event loop emits messages in global time order) and a tight
+/// approximation for batch trace replay.
 ///
-/// [`send`](OnlineWormhole::send) returns the delivery time immediately —
-/// the "feedback arrow" from the network simulator to the event generator
-/// in the paper's Figure 1.
+/// [`send`](NetEngine::send) returns the delivery time immediately — the
+/// "feedback arrow" from the network simulator to the event generator in
+/// the paper's Figure 1.
 ///
 /// The model is generic over its [`LogSink`]: with the default
 /// [`NetLog`] every record is retained for offline analysis; with a
@@ -53,12 +55,6 @@ impl OnlineWormhole {
     /// Creates an idle network logging into a [`NetLog`].
     pub fn new(cfg: MeshConfig) -> Self {
         OnlineWormhole::with_sink(cfg, NetLog::new())
-    }
-
-    /// Finishes the simulation and returns the network log, including
-    /// per-channel utilization over the observed span.
-    pub fn into_log(self) -> NetLog {
-        self.into_sink()
     }
 }
 
@@ -85,14 +81,16 @@ impl<S: LogSink> OnlineWormhole<S> {
             last_delivery: 0,
         }
     }
+}
 
-    /// The network configuration.
-    pub fn config(&self) -> &MeshConfig {
+impl<S: LogSink> NetEngine for OnlineWormhole<S> {
+    type Sink = S;
+
+    fn config(&self) -> &MeshConfig {
         &self.cfg
     }
 
-    /// The sink accumulating this network's records.
-    pub fn sink(&self) -> &S {
+    fn sink(&self) -> &S {
         &self.sink
     }
 
@@ -101,39 +99,9 @@ impl<S: LogSink> OnlineWormhole<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `msg.inject` precedes a previously injected message (the
-    /// model requires time-ordered injection) or if `src == dst`. Callers
-    /// that want the ordering violation as a value rather than a panic —
-    /// the [`NetEngine`](crate::NetEngine) trait path — use
-    /// [`try_send`](OnlineWormhole::try_send).
-    pub fn send(&mut self, msg: NetMessage) -> SimTime {
-        debug_assert!(
-            msg.inject >= self.last_inject,
-            "messages must be injected in nondecreasing time order ({:?} after {:?})",
-            msg.inject,
-            self.last_inject
-        );
-        self.try_send(msg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`send`](OnlineWormhole::send): returns
-    /// [`EngineError::OutOfOrder`](crate::EngineError::OutOfOrder) instead
-    /// of panicking when `msg.inject` precedes a previously injected
-    /// message, so a malformed trace surfaces as an error from the replay
-    /// layer rather than a panic from deep inside the network model.
-    ///
-    /// # Panics
-    ///
     /// Panics if `src == dst` (no route to oneself).
-    pub fn try_send(&mut self, msg: NetMessage) -> Result<SimTime, crate::EngineError> {
-        if msg.inject < self.last_inject {
-            return Err(crate::EngineError::OutOfOrder {
-                id: msg.id,
-                inject: msg.inject,
-                last: self.last_inject,
-            });
-        }
-        self.last_inject = msg.inject;
+    fn send(&mut self, msg: NetMessage) -> Result<SimTime, EngineError> {
+        EngineError::check_order(&mut self.last_inject, &msg)?;
         let path = self.cfg.shape.route(msg.src, msg.dst, self.cfg.routing);
         let hop = self.cfg.hop_latency();
         let link = self.cfg.link_delay;
@@ -180,7 +148,7 @@ impl<S: LogSink> OnlineWormhole<S> {
 
     /// Finishes the simulation: hands per-channel utilization over the
     /// observed span to the sink and returns it.
-    pub fn into_sink(mut self) -> S {
+    fn finish(mut self) -> S {
         let span = match self.first_inject {
             Some(first) if self.last_delivery > first => (self.last_delivery - first) as f64,
             _ => 0.0,
@@ -194,17 +162,6 @@ impl<S: LogSink> OnlineWormhole<S> {
             .collect();
         self.sink.finish(util);
         self.sink
-    }
-}
-
-impl MeshModel for OnlineWormhole {
-    fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
-        let mut sorted: Vec<NetMessage> = msgs.to_vec();
-        sorted.sort_by_key(|m| (m.inject, m.id));
-        for m in &sorted {
-            self.send(*m);
-        }
-        std::mem::replace(self, OnlineWormhole::new(self.cfg)).into_log()
     }
 }
 
@@ -229,10 +186,10 @@ mod tests {
     fn zero_load_latency_matches_config() {
         let cfg = MeshConfig::new(4, 4);
         let mut net = OnlineWormhole::new(cfg);
-        let d = net.send(msg(0, 0, 15, 32, 0));
+        let d = net.send(msg(0, 0, 15, 32, 0)).unwrap();
         let hops = cfg.shape.hop_distance(NodeId(0), NodeId(15));
         assert_eq!(d.ticks(), cfg.zero_load_latency(32, hops));
-        let log = net.into_log();
+        let log = net.finish();
         assert_eq!(log.records()[0].blocked(), 0);
     }
 
@@ -240,11 +197,11 @@ mod tests {
     fn contention_delays_second_message() {
         let cfg = MeshConfig::new(4, 1);
         let mut net = OnlineWormhole::new(cfg);
-        let d1 = net.send(msg(0, 0, 3, 64, 0));
+        let d1 = net.send(msg(0, 0, 3, 64, 0)).unwrap();
         // Same route, same time: must wait for the first worm.
-        let d2 = net.send(msg(1, 0, 3, 64, 0));
+        let d2 = net.send(msg(1, 0, 3, 64, 0)).unwrap();
         assert!(d2 > d1);
-        let log = net.into_log();
+        let log = net.finish();
         assert!(log.records()[1].blocked() > 0);
     }
 
@@ -252,10 +209,10 @@ mod tests {
     fn disjoint_routes_do_not_interact() {
         let cfg = MeshConfig::new(4, 2);
         let mut net = OnlineWormhole::new(cfg);
-        let d1 = net.send(msg(0, 0, 1, 16, 0));
-        let d2 = net.send(msg(1, 6, 7, 16, 0));
+        let d1 = net.send(msg(0, 0, 1, 16, 0)).unwrap();
+        let d2 = net.send(msg(1, 6, 7, 16, 0)).unwrap();
         assert_eq!(d1.ticks(), d2.ticks());
-        let log = net.into_log();
+        let log = net.finish();
         assert_eq!(log.records()[0].blocked(), 0);
         assert_eq!(log.records()[1].blocked(), 0);
     }
@@ -265,28 +222,19 @@ mod tests {
         let cfg = MeshConfig::new(4, 2);
         let mut net = OnlineWormhole::new(cfg);
         // Different destinations but same source NI.
-        let d1 = net.send(msg(0, 0, 1, 16, 0));
-        let d2 = net.send(msg(1, 0, 4, 16, 0));
+        let d1 = net.send(msg(0, 0, 1, 16, 0)).unwrap();
+        let d2 = net.send(msg(1, 0, 4, 16, 0)).unwrap();
         assert!(d2.ticks() > 0);
         let _ = d1;
-        let log = net.into_log();
+        let log = net.finish();
         assert!(log.records()[1].blocked() > 0, "second message should queue at the NI");
-    }
-
-    #[test]
-    #[should_panic(expected = "nondecreasing")]
-    fn out_of_order_injection_panics() {
-        let cfg = MeshConfig::new(2, 2);
-        let mut net = OnlineWormhole::new(cfg);
-        net.send(msg(0, 0, 1, 8, 100));
-        net.send(msg(1, 1, 0, 8, 50));
     }
 
     #[test]
     fn batch_simulate_sorts_and_checks() {
         let cfg = MeshConfig::new(4, 2);
         let msgs = vec![msg(1, 1, 0, 8, 50), msg(0, 0, 1, 8, 0), msg(2, 3, 6, 24, 20)];
-        let log = OnlineWormhole::new(cfg).simulate(&msgs);
+        let log = OnlineWormhole::new(cfg).simulate(&msgs).unwrap();
         assert_eq!(log.records().len(), 3);
         log.check_invariants(cfg.shape).unwrap();
     }
@@ -295,8 +243,8 @@ mod tests {
     fn utilization_reported_for_used_channels() {
         let cfg = MeshConfig::new(2, 1);
         let mut net = OnlineWormhole::new(cfg);
-        net.send(msg(0, 0, 1, 128, 0));
-        let log = net.into_log();
+        net.send(msg(0, 0, 1, 128, 0)).unwrap();
+        let log = net.finish();
         assert!(!log.utilization().is_empty());
         for &(_, u) in log.utilization() {
             assert!(u > 0.0 && u <= 1.0);
@@ -311,12 +259,12 @@ mod tests {
         for i in 0..200u64 {
             let m = msg(i, (i % 16) as u16, ((i * 7 + 1) % 16) as u16, 8 + (i % 100) as u32, i * 3);
             if m.src != m.dst {
-                batch.send(m);
-                stream.send(m);
+                batch.send(m).unwrap();
+                stream.send(m).unwrap();
             }
         }
-        let log = batch.into_log();
-        let s = stream.into_sink();
+        let log = batch.finish();
+        let s = stream.finish();
         assert_eq!(log.records().len() as u64, s.messages());
         assert_eq!(log.utilization(), s.utilization());
         let a = log.summary();
@@ -334,8 +282,8 @@ mod tests {
         // shorter route.
         let mesh = MeshConfig::new(4, 4);
         let torus = MeshConfig::new_torus(4, 4);
-        let d_mesh = OnlineWormhole::new(mesh).send(msg(0, 0, 15, 32, 0));
-        let d_torus = OnlineWormhole::new(torus).send(msg(0, 0, 15, 32, 0));
+        let d_mesh = OnlineWormhole::new(mesh).send(msg(0, 0, 15, 32, 0)).unwrap();
+        let d_torus = OnlineWormhole::new(torus).send(msg(0, 0, 15, 32, 0)).unwrap();
         assert_eq!(torus.shape.hop_distance(NodeId(0), NodeId(15)), 2);
         assert_eq!(d_torus.ticks(), torus.zero_load_latency(32, 2));
         assert!(d_torus < d_mesh);
@@ -348,8 +296,8 @@ mod tests {
         let xy = MeshConfig::new(4, 4);
         let ad = xy.with_routing(crate::Routing::Adaptive);
         for (s, d) in [(0u16, 15u16), (3, 12), (5, 10)] {
-            let a = OnlineWormhole::new(xy).send(msg(0, s, d, 48, 0));
-            let b = OnlineWormhole::new(ad).send(msg(0, s, d, 48, 0));
+            let a = OnlineWormhole::new(xy).send(msg(0, s, d, 48, 0)).unwrap();
+            let b = OnlineWormhole::new(ad).send(msg(0, s, d, 48, 0)).unwrap();
             assert_eq!(a, b, "{s}->{d}");
         }
     }
@@ -360,9 +308,9 @@ mod tests {
         let cfg = MeshConfig::new(4, 1).with_buffer_flits(2);
         let mut net = OnlineWormhole::new(cfg);
         // Long message 0->3 occupies channels 0->1->2->3.
-        net.send(msg(0, 0, 3, 512, 0));
+        net.send(msg(0, 0, 3, 512, 0)).unwrap();
         // Message 1->2 needs channel 1->2, held by the worm's body.
-        let d = net.send(msg(1, 1, 2, 8, 1));
+        let d = net.send(msg(1, 1, 2, 8, 1)).unwrap();
         let zero = cfg.zero_load_latency(8, 1);
         assert!(d.ticks() - 1 > zero, "blocked by the worm: {} vs {}", d.ticks() - 1, zero);
     }

@@ -1,6 +1,7 @@
 //! Randomized equivalence suite: the closed-loop [`IncrementalFlit`]
-//! engine must produce a final log cycle-identical to a batch
-//! [`FlitLevel`] run over the same injection schedule.
+//! engine fed one message at a time must produce a final log
+//! cycle-identical to an all-up-front batch [`NetEngine::simulate`] over the
+//! same injection schedule.
 //!
 //! This is the correctness pin for the committed/speculative design: the
 //! incremental engine may only ever commit cycles no future injection can
@@ -13,8 +14,8 @@
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    EngineError, FlitLevel, IncrementalFlit, MeshConfig, MeshModel, NetEngine, NetMessage, NodeId,
-    OnlineWormhole, Routing, Topology,
+    EngineError, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole,
+    Routing, Topology,
 };
 
 /// Deterministic 64-bit LCG (MMIX constants) — no external RNG crates.
@@ -80,7 +81,7 @@ fn hotspot(mut msgs: Vec<NetMessage>, nodes: usize) -> Vec<NetMessage> {
 /// injection time, the trait's contract) and asserts the drained log is
 /// byte-identical to a batch simulation of the same slice.
 fn assert_closed_loop_identical(cfg: MeshConfig, msgs: &[NetMessage], label: &str) {
-    let batch = FlitLevel::new(cfg).simulate(msgs);
+    let batch = IncrementalFlit::new(cfg).simulate(msgs).unwrap_or_else(|e| panic!("{label}: {e}"));
 
     let mut sorted: Vec<NetMessage> = msgs.to_vec();
     sorted.sort_by_key(|m| (m.inject, m.id));
@@ -204,10 +205,10 @@ fn closed_loop_engines_agree_on_the_contract() {
     let mut rec = OnlineWormhole::new(cfg);
     let mut flit = IncrementalFlit::new(cfg);
     for &m in &msgs {
-        rec.send(m);
+        rec.send(m).unwrap();
         flit.send(m).unwrap();
     }
-    let a = NetEngine::finish(rec);
+    let a = rec.finish();
     let b = flit.finish();
     assert_eq!(a.records().len(), b.records().len());
     for (ra, rb) in a.records().iter().zip(b.records()) {

@@ -1,4 +1,4 @@
-//! Randomized equivalence suite: the event-driven [`FlitLevel`] must be
+//! Randomized equivalence suite: the event-driven [`IncrementalFlit`] must be
 //! cycle-identical to the retained cycle-loop [`FlitCycleReference`].
 //!
 //! Seed-driven workloads sweep mesh shapes × virtual-channel counts ×
@@ -10,8 +10,8 @@
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    EngineError, FlitCycleReference, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, Routing,
-    Topology,
+    EngineError, FlitCycleReference, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId,
+    Routing, Topology,
 };
 
 /// Deterministic 64-bit LCG (MMIX constants) — no external RNG crates.
@@ -74,7 +74,7 @@ fn hotspot(mut msgs: Vec<NetMessage>, nodes: usize) -> Vec<NetMessage> {
 }
 
 fn assert_identical(cfg: MeshConfig, msgs: &[NetMessage], label: &str) {
-    let fast = FlitLevel::new(cfg).simulate(msgs);
+    let fast = IncrementalFlit::new(cfg).simulate(msgs).unwrap_or_else(|e| panic!("{label}: {e}"));
     let reference = FlitCycleReference::new(cfg).simulate(msgs);
     assert_eq!(fast.records().len(), reference.records().len(), "{label}: record count diverged");
     for (a, b) in fast.records().iter().zip(reference.records()) {
@@ -180,7 +180,7 @@ fn undersized_vc_budget_is_a_typed_error_not_a_panic() {
     // A torus needs an escape-VC class per dateline state; adaptive
     // routing doubles the budget. Both shortfalls surface as the typed
     // `UnsupportedTopology` error rather than a constructor panic.
-    let err = FlitLevel::try_new(MeshConfig::new_torus(4, 4)).unwrap_err();
+    let err = IncrementalFlit::try_new(MeshConfig::new_torus(4, 4)).unwrap_err();
     assert!(
         matches!(
             err,
@@ -195,10 +195,10 @@ fn undersized_vc_budget_is_a_typed_error_not_a_panic() {
     );
 
     let cfg = MeshConfig::new_torus(4, 4).with_routing(Routing::Adaptive).with_virtual_channels(2);
-    let err = FlitLevel::try_new(cfg).unwrap_err();
+    let err = IncrementalFlit::try_new(cfg).unwrap_err();
     assert!(
         matches!(err, EngineError::UnsupportedTopology { needed: 4, have: 2, .. }),
         "unexpected error: {err}"
     );
-    assert!(FlitLevel::try_new(cfg.with_virtual_channels(4)).is_ok());
+    assert!(IncrementalFlit::try_new(cfg.with_virtual_channels(4)).is_ok());
 }

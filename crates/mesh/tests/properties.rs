@@ -2,7 +2,7 @@
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    FlitLevel, MeshConfig, MeshModel, MeshShape, NetMessage, NodeId, OnlineWormhole, Routing,
+    IncrementalFlit, MeshConfig, MeshShape, NetEngine, NetMessage, NodeId, OnlineWormhole, Routing,
     Topology,
 };
 use proptest::prelude::*;
@@ -97,7 +97,7 @@ proptest! {
     fn online_model_invariants(msgs in arb_msgs(12, 60)) {
         prop_assume!(!msgs.is_empty());
         let cfg = MeshConfig::for_nodes(12);
-        let log = OnlineWormhole::new(cfg).simulate(&msgs);
+        let log = OnlineWormhole::new(cfg).simulate(&msgs).unwrap();
         prop_assert_eq!(log.records().len(), msgs.len());
         log.check_invariants(cfg.shape).unwrap();
         // FIFO per source-destination pair: injection order = delivery order.
@@ -119,7 +119,7 @@ proptest! {
     fn flit_model_invariants(msgs in arb_msgs(8, 25)) {
         prop_assume!(!msgs.is_empty());
         let cfg = MeshConfig::for_nodes(8);
-        let log = FlitLevel::new(cfg).simulate(&msgs);
+        let log = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
         prop_assert_eq!(log.records().len(), msgs.len());
         log.check_invariants(cfg.shape).unwrap();
     }
@@ -144,8 +144,8 @@ proptest! {
             bytes,
             inject: SimTime::from_ticks(5),
         }];
-        let online = OnlineWormhole::new(cfg).simulate(&msgs);
-        let flit = FlitLevel::new(cfg).simulate(&msgs);
+        let online = OnlineWormhole::new(cfg).simulate(&msgs).unwrap();
+        let flit = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
         prop_assert_eq!(online.records()[0].delivered, flit.records()[0].delivered);
         prop_assert_eq!(online.records()[0].latency(), cfg.zero_load_latency(bytes, online.records()[0].hops));
     }
@@ -156,7 +156,7 @@ proptest! {
     fn simulate_is_order_insensitive(msgs in arb_msgs(9, 40), seed in 0u64..1000) {
         prop_assume!(msgs.len() > 1);
         let cfg = MeshConfig::for_nodes(9);
-        let a = OnlineWormhole::new(cfg).simulate(&msgs);
+        let a = OnlineWormhole::new(cfg).simulate(&msgs).unwrap();
         let mut shuffled = msgs.clone();
         // Deterministic Fisher-Yates with a tiny LCG.
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -165,7 +165,7 @@ proptest! {
             let j = (state >> 33) as usize % (i + 1);
             shuffled.swap(i, j);
         }
-        let b = OnlineWormhole::new(cfg).simulate(&shuffled);
+        let b = OnlineWormhole::new(cfg).simulate(&shuffled).unwrap();
         let mut ra = a.into_records();
         let mut rb = b.into_records();
         ra.sort_by_key(|r| r.id);

@@ -3,7 +3,7 @@
 //! records and per-channel utilization for every shard count, every
 //! shape, every VC count, every seed.
 //!
-//! The serial `FlitLevel` is itself pinned against the retained
+//! The serial `IncrementalFlit` drain is itself pinned against the retained
 //! cycle-loop oracle in `equivalence.rs`, so pinning the sharded engine
 //! against the serial one transitively pins it against the reference.
 //! Seed-driven sweeps cover the structured corners (shard counts of 1,
@@ -12,7 +12,7 @@
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    EngineError, FlitLevel, IncrementalFlit, MeshConfig, MeshModel, NetMessage, NodeId, Routing,
+    EngineError, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, Routing,
 };
 use proptest::prelude::*;
 
@@ -86,9 +86,9 @@ fn hotspot(mut msgs: Vec<NetMessage>, nodes: usize) -> Vec<NetMessage> {
 /// Runs `msgs` serially and at each shard count, asserting byte-identical
 /// logs (every record, every utilization figure).
 fn assert_sharded_identical(cfg: MeshConfig, msgs: &[NetMessage], jobs: &[usize], label: &str) {
-    let serial = FlitLevel::new(cfg).simulate(msgs);
+    let serial = IncrementalFlit::new(cfg).simulate(msgs).unwrap();
     for &n in jobs {
-        let sharded = FlitLevel::new(cfg).with_sim_jobs(n).simulate(msgs);
+        let sharded = IncrementalFlit::new(cfg).with_sim_jobs(n).simulate(msgs).unwrap();
         assert_eq!(
             sharded.records().len(),
             serial.records().len(),
@@ -145,14 +145,12 @@ fn sharded_matches_serial_on_nondefault_router_parameters() {
 }
 
 #[test]
-fn sharded_reuses_the_worker_team_across_batches() {
+fn repeated_sharded_batches_stay_identical() {
     let cfg = MeshConfig::new(4, 4).with_virtual_channels(2);
     let msgs = workload(5, 16, 80, 6, 64);
-    let mut serial = FlitLevel::new(cfg);
-    let mut sharded = FlitLevel::new(cfg).with_sim_jobs(4);
     for round in 0..3 {
-        let a = serial.simulate(&msgs);
-        let b = sharded.simulate(&msgs);
+        let a = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
+        let b = IncrementalFlit::new(cfg).with_sim_jobs(4).simulate(&msgs).unwrap();
         assert_eq!(a.records(), b.records(), "round {round}: records diverged");
         assert_eq!(a.utilization(), b.utilization(), "round {round}: utilization diverged");
     }
@@ -172,12 +170,12 @@ fn closed_loop_per_send_feedback_is_sim_jobs_invariant() {
     let mut serial = IncrementalFlit::new(cfg);
     let mut sharded = IncrementalFlit::new(cfg).with_sim_jobs(4);
     for m in &sorted {
-        let a = serial.try_send(*m).expect("serial send");
-        let b = sharded.try_send(*m).expect("sharded send");
+        let a = serial.send(*m).expect("serial send");
+        let b = sharded.send(*m).expect("sharded send");
         assert_eq!(a, b, "per-send delivery diverged for id {}", m.id);
     }
-    let a = serial.into_sink();
-    let b = sharded.into_sink();
+    let a = serial.finish();
+    let b = sharded.finish();
     assert_eq!(a.records(), b.records(), "drained records diverged");
     assert_eq!(a.utilization(), b.utilization(), "drained utilization diverged");
 }
@@ -242,8 +240,8 @@ proptest! {
         let cfg = MeshConfig::new(w, h).with_virtual_channels(vcs);
         let nodes = (w * h) as usize;
         let msgs = workload(seed, nodes, 60, 7, 80);
-        let serial = FlitLevel::new(cfg).simulate(&msgs);
-        let sharded = FlitLevel::new(cfg).with_sim_jobs(jobs).simulate(&msgs);
+        let serial = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
+        let sharded = IncrementalFlit::new(cfg).with_sim_jobs(jobs).simulate(&msgs).unwrap();
         prop_assert_eq!(serial.records(), sharded.records());
         prop_assert_eq!(serial.utilization(), sharded.utilization());
     }
@@ -265,8 +263,8 @@ proptest! {
         let cfg = base.with_virtual_channels(base.virtual_channels + extra_vcs);
         let nodes = (w * h) as usize;
         let msgs = workload(seed, nodes, 60, 7, 80);
-        let serial = FlitLevel::new(cfg).simulate(&msgs);
-        let sharded = FlitLevel::new(cfg).with_sim_jobs(jobs).simulate(&msgs);
+        let serial = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
+        let sharded = IncrementalFlit::new(cfg).with_sim_jobs(jobs).simulate(&msgs).unwrap();
         prop_assert_eq!(serial.records(), sharded.records());
         prop_assert_eq!(serial.utilization(), sharded.utilization());
     }

@@ -276,19 +276,18 @@ impl CausalReplayer {
     /// feedback, no causality). Useful to quantify the distortion the
     /// causal replayer removes.
     pub fn replay_naive(&self, trace: &CommTrace) -> NetLog {
-        let mut events: Vec<&crate::CommEvent> = trace.events().iter().collect();
-        events.sort_by_key(|e| (e.t, e.id));
-        let mut net = OnlineWormhole::new(self.cfg);
-        for e in events {
-            net.send(NetMessage {
+        let msgs: Vec<NetMessage> = trace
+            .events()
+            .iter()
+            .map(|e| NetMessage {
                 id: e.id,
                 src: NodeId(e.src),
                 dst: NodeId(e.dst),
                 bytes: e.bytes,
                 inject: SimTime::from_ticks(e.t),
-            });
-        }
-        net.into_log()
+            })
+            .collect();
+        OnlineWormhole::new(self.cfg).simulate(&msgs).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

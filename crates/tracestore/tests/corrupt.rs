@@ -1,7 +1,7 @@
 //! Corrupt-input hardening: every malformed-file shape must surface as a
 //! typed [`TraceStoreError`] — never a panic.
 
-use commchar_mesh::{MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::{MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::{
     load_trace, pack_netlog, pack_trace, unpack_netlog, unpack_trace, unpack_trace_parallel,
@@ -144,7 +144,7 @@ fn wrong_stream_kind_is_rejected() {
             inject: commchar_des::SimTime::from_ticks(e.t),
         })
         .collect();
-    let log = OnlineWormhole::new(MeshConfig::for_nodes(8)).simulate(&msgs);
+    let log = OnlineWormhole::new(MeshConfig::for_nodes(8)).simulate(&msgs).unwrap();
     let packed_log = pack_netlog(&log);
     // Events API over a netlog stream (and vice versa) errors cleanly.
     assert!(matches!(unpack_trace(&packed_log), Err(TraceStoreError::Corrupt(_))));

@@ -9,7 +9,7 @@
 
 use commchar::analytic::AnalyticModel;
 use commchar::core::{characterize, run_workload, synthesize};
-use commchar::mesh::{MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar::mesh::{NetEngine, NetMessage, NodeId, OnlineWormhole};
 use commchar_apps::{AppId, Scale};
 
 fn main() {
@@ -56,7 +56,11 @@ fn main() {
             inject: commchar_des::SimTime::from_ticks(e.t),
         })
         .collect();
-    let simulated = OnlineWormhole::new(w.mesh).simulate(&msgs).summary().mean_latency;
+    let simulated = OnlineWormhole::new(w.mesh)
+        .simulate(&msgs)
+        .expect("batch simulation")
+        .summary()
+        .mean_latency;
     println!(
         "\nat the default design point: analytic {:.1} vs simulated {:.1} ({:.1}% apart)",
         analytic.mean_latency,

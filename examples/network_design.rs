@@ -11,7 +11,7 @@
 //! ```
 
 use commchar::core::{characterize, run_workload, synthesize};
-use commchar::mesh::{FlitLevel, MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar::mesh::{IncrementalFlit, NetEngine, NetMessage, NodeId, OnlineWormhole};
 use commchar_apps::{AppId, Scale};
 use commchar_des::SimTime;
 
@@ -48,7 +48,7 @@ fn main() {
     println!("{}", "-".repeat(56));
     for flit_bytes in [1u32, 2, 4] {
         let cfg = w.mesh.with_flit_bytes(flit_bytes);
-        let s = OnlineWormhole::new(cfg).simulate(&msgs).summary();
+        let s = OnlineWormhole::new(cfg).simulate(&msgs).expect("batch simulation").summary();
         println!(
             "{:<24} {:>14.1} {:>14.1}",
             format!("{}B channels", flit_bytes),
@@ -58,7 +58,7 @@ fn main() {
     }
     for vcs in [1usize, 2, 4] {
         let cfg = w.mesh.with_virtual_channels(vcs);
-        let s = FlitLevel::new(cfg).simulate(&msgs).summary();
+        let s = IncrementalFlit::new(cfg).simulate(&msgs).expect("batch simulation").summary();
         println!(
             "{:<24} {:>14.1} {:>14.1}",
             format!("{} virtual channel(s)", vcs),

@@ -8,7 +8,7 @@
 //! ```
 
 use commchar::core::{characterize, run_workload, synthesize};
-use commchar::mesh::{MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar::mesh::{NetEngine, NetMessage, NodeId, OnlineWormhole};
 use commchar::traffic::patterns::uniform_poisson;
 use commchar_apps::{AppId, Scale};
 use commchar_des::SimTime;
@@ -25,7 +25,7 @@ fn replay(trace: &commchar::trace::CommTrace, mesh: commchar::mesh::MeshConfig) 
             inject: SimTime::from_ticks(e.t),
         })
         .collect();
-    OnlineWormhole::new(mesh).simulate(&msgs).summary().mean_latency
+    OnlineWormhole::new(mesh).simulate(&msgs).expect("batch simulation").summary().mean_latency
 }
 
 fn main() {

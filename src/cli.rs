@@ -152,9 +152,11 @@ pub fn report_signature(w: &Workload, jobs: usize) -> Result<String, CliError> {
 }
 
 /// Acquires a workload under the full set of common options: engine,
-/// simulator shards, topology and routing policy.
-fn run_common(app: AppId, common: Common) -> Workload {
-    run_workload_net(
+/// simulator shards, topology and routing policy. A processor count the
+/// kernel cannot run on is a [`CliError`], not a panic.
+fn run_common(app: AppId, common: Common) -> Result<Workload, CliError> {
+    app.check_procs(common.procs, common.scale)?;
+    Ok(run_workload_net(
         app,
         common.procs,
         common.scale,
@@ -162,13 +164,13 @@ fn run_common(app: AppId, common: Common) -> Workload {
         common.sim_jobs,
         common.topology,
         common.routing,
-    )
+    ))
 }
 
 /// `commchar run <app>`: run an application and return (report, trace).
 pub fn cmd_run(app: &str, common: Common) -> Result<(String, CommTrace), CliError> {
     let app = parse_app(app)?;
-    let w = run_common(app, common);
+    let w = run_common(app, common)?;
     let report = format!(
         "ran {} on {} processors: {} messages, {} ticks\n",
         w.name,
@@ -184,7 +186,7 @@ pub fn cmd_run(app: &str, common: Common) -> Result<(String, CommTrace), CliErro
 /// does not depend on it.
 pub fn cmd_characterize_app(app: &str, common: Common, jobs: usize) -> Result<String, CliError> {
     let app = parse_app(app)?;
-    let w = run_common(app, common);
+    let w = run_common(app, common)?;
     report_signature(&w, jobs)
 }
 
@@ -256,7 +258,7 @@ pub fn cmd_characterize_stream(
 /// trace of the same span.
 pub fn cmd_generate_trace(app: &str, common: Common) -> Result<CommTrace, CliError> {
     let app = parse_app(app)?;
-    let w = run_common(app, common);
+    let w = run_common(app, common)?;
     let sig = characterize(&w);
     let model = synthesize(&sig, w.mesh);
     let span = w.netlog.summary().span.max(1);
@@ -566,7 +568,14 @@ pub fn cmd_serve_feed_stream(
 /// the table always carries the network-contrast rows — the same
 /// known-shape traffic characterized across dimension-ordered and
 /// minimal-adaptive routing on both the mesh and the wraparound torus.
-pub fn cmd_suite(common: Common, jobs: usize) -> (String, String) {
+///
+/// # Errors
+///
+/// A [`CliError`] if `--procs` is a count some application cannot run on.
+pub fn cmd_suite(common: Common, jobs: usize) -> Result<(String, String), CliError> {
+    for &app in AppId::all() {
+        app.check_procs(common.procs, common.scale)?;
+    }
     let mut cells = cell_matrix(AppId::all(), &[common.procs], &[common.scale], common.seed)
         .into_iter()
         .map(|c| c.with_net(common.topology, common.routing))
@@ -583,7 +592,7 @@ pub fn cmd_suite(common: Common, jobs: usize) -> (String, String) {
     }
     let report =
         SuiteRunner::new(jobs).with_engine(common.engine).with_sim_jobs(common.sim_jobs).run(cells);
-    (suite_table(&report), suite_timing(&report))
+    Ok((suite_table(&report), suite_timing(&report)))
 }
 
 /// Usage text.
@@ -632,6 +641,7 @@ COMMANDS:
                                   live producer can pipe into the session
 
 OPTIONS:
+    -h, --help      print this help and exit
     --procs N       processor count (default 8)
     --scale S       tiny | small | full (default small)
     --seed N        generation seed (default 42)
@@ -867,7 +877,7 @@ mod tests {
     #[test]
     fn suite_runs_all_apps_and_is_deterministic_across_jobs() {
         let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (table, timing) = cmd_suite(common, 4);
+        let (table, timing) = cmd_suite(common, 4).unwrap();
         for a in AppId::all() {
             assert!(table.contains(a.name()), "suite table missing {a:?}");
         }
@@ -877,7 +887,7 @@ mod tests {
         // (topology × routing) pair — the network-contrast rows.
         assert!(table.contains("torus"), "missing torus contrast rows:\n{table}");
         assert!(table.contains("adaptive"), "missing adaptive contrast rows:\n{table}");
-        let (serial_table, _) = cmd_suite(common, 1);
+        let (serial_table, _) = cmd_suite(common, 1).unwrap();
         assert_eq!(table, serial_table, "suite table must not depend on --jobs");
     }
 

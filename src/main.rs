@@ -23,6 +23,7 @@ struct Args {
     idle_timeout: u64,
     poll_every: usize,
     shutdown: bool,
+    help: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -45,6 +46,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         idle_timeout: 300,
         poll_every: 0,
         shutdown: false,
+        help: false,
     };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
@@ -146,6 +148,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .map_err(|_| "--poll-every needs an integer")?;
             }
             "--shutdown" => args.shutdown = true,
+            "--help" | "-h" => args.help = true,
             "--out" => args.out = Some(it.next().ok_or("--out needs a path")?.clone()),
             "--trace" => args.trace = Some(it.next().ok_or("--trace needs a path")?.clone()),
             other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
@@ -199,6 +202,9 @@ fn read_trace(args: &Args) -> Result<Vec<u8>, String> {
 
 fn run(argv: &[String]) -> Result<(), String> {
     let args = parse_args(argv)?;
+    if args.help {
+        return emit(&cli::usage(), &None);
+    }
     let cmd = args.positional.first().map(String::as_str);
     match cmd {
         Some("run") => {
@@ -274,7 +280,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             }
         }
         Some("suite") => {
-            let (table, timing) = cli::cmd_suite(args.common, args.jobs);
+            let (table, timing) = cli::cmd_suite(args.common, args.jobs).map_err(|e| e.0)?;
             eprint!("{timing}");
             emit(&table, &None)
         }
