@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
+use commchar_bench::Provenance;
 use commchar_core::{characterize, run_workload_engine};
 use commchar_des::SimTime;
 use commchar_mesh::{EngineKind, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId};
@@ -179,7 +180,9 @@ fn main() {
 
     // Hand-rolled JSON (serde is stripped from the offline build).
     let mut json = String::from("{\n  \"bench\": \"engine_comparison\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",\n  \"apps\": [", if quick { "quick" } else { "full" });
+    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
+    json.push_str(&Provenance::probe().json_fields());
+    json.push_str("  \"apps\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,

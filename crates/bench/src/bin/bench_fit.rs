@@ -28,6 +28,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use commchar_bench::fit_reference::characterize_reference;
+use commchar_bench::Provenance;
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
 use commchar_core::{characterize_jobs, run_workload, CommSignature, Workload};
@@ -365,7 +366,9 @@ fn main() {
 
     // Hand-rolled JSON (serde is stripped from the offline build).
     let mut json = String::from("{\n  \"bench\": \"characterize_fit\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",\n  \"workloads\": [", if quick { "quick" } else { "full" });
+    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
+    json.push_str(&Provenance::probe().json_fields());
+    json.push_str("  \"workloads\": [\n");
     for (i, (name, events, sources, t_ref, t_seq, t_par, speedup)) in rows.iter().enumerate() {
         let _ = writeln!(
             json,

@@ -12,6 +12,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use commchar_bench::Provenance;
 use commchar_des::SimTime;
 use commchar_mesh::{
     FlitCycleReference, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, Routing,
@@ -206,21 +207,12 @@ fn main() {
         ));
     }
 
-    // Hand-rolled JSON (serde is stripped from the offline build). The
-    // host core count and git revision make a stale trajectory file
-    // self-describing about the machine and tree that produced it.
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let git_rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
+    // Hand-rolled JSON (serde is stripped from the offline build).
+    let prov = Provenance::probe();
+    let host_cores = prov.host_cores;
     let mut json = String::from("{\n  \"bench\": \"flit_router_throughput\",\n  \"mode\": ");
     let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"git_rev\": \"{git_rev}\",");
+    json.push_str(&prov.json_fields());
     json.push_str("  \"workloads\": [\n");
     for (i, (name, msgs, vcs, mean_blocked, event_rate, ref_rate, speedup)) in
         rows.iter().enumerate()

@@ -20,6 +20,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
+use commchar_bench::Provenance;
 use commchar_core::{characterize, run_workload_sim};
 use commchar_des::SimTime;
 use commchar_mesh::{EngineKind, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId};
@@ -93,16 +94,6 @@ fn time_best<F: FnMut()>(iters: u32, mut f: F) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// One section's measurements, rendered into the shared JSON document.
@@ -268,7 +259,8 @@ fn bench_spasm(quick: bool, iters: u32, jobs: usize) -> Section {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let iters = if quick { 1 } else { 3 };
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let prov = Provenance::probe();
+    let host_cores = prov.host_cores;
     // Time with one shard per core (capped: past 8 the windows thin out
     // on these workloads), but never fewer than 2 so the sharded path is
     // exercised even on single-core hosts.
@@ -293,8 +285,7 @@ fn main() {
     // Hand-rolled JSON (serde is stripped from the offline build).
     let mut json = String::from("{\n  \"bench\": \"shard_speedup\",\n  \"mode\": ");
     let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
+    json.push_str(&prov.json_fields());
     json.push_str(&flit.json(assert_floor, skip_reason.as_deref()));
     json.push_str(",\n");
     json.push_str(&spasm.json(assert_floor, skip_reason.as_deref()));

@@ -14,6 +14,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use commchar_bench::Provenance;
 use commchar_core::run_workload;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::{pack_trace, unpack_trace, unpack_trace_parallel};
@@ -175,7 +176,9 @@ fn main() {
 
     // Hand-rolled JSON (serde is stripped from the offline build).
     let mut json = String::from("{\n  \"bench\": \"trace_store\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",\n  \"workloads\": [", if quick { "quick" } else { "full" });
+    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
+    json.push_str(&Provenance::probe().json_fields());
+    json.push_str("  \"workloads\": [\n");
     for (i, (name, events, jsonl_b, packed_b, ratio, jsonl_rate, packed_rate, speedup)) in
         rows.iter().enumerate()
     {

@@ -22,6 +22,37 @@ use commchar_apps::{AppId, Scale};
 use commchar_core::suite::{cell_matrix, SuiteReport, SuiteRunner};
 use commchar_core::{characterize, run_workload, CommSignature, Workload};
 
+/// The provenance every `BENCH_*.json` records, so a committed results
+/// file says which machine and which tree produced it.
+#[derive(Clone, Debug)]
+pub struct Provenance {
+    /// Hardware threads available to the process (1 if unknown).
+    pub host_cores: usize,
+    /// Short git revision of the checkout (`unknown` outside one).
+    pub git_rev: String,
+}
+
+impl Provenance {
+    /// Reads the host's thread count and the checkout's revision.
+    pub fn probe() -> Provenance {
+        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let git_rev = std::process::Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string());
+        Provenance { host_cores, git_rev }
+    }
+
+    /// The `host_cores` and `git_rev` members of a hand-rolled JSON
+    /// object, one indented line each, both ending in `,`.
+    pub fn json_fields(&self) -> String {
+        format!("  \"host_cores\": {},\n  \"git_rev\": \"{}\",\n", self.host_cores, self.git_rev)
+    }
+}
+
 /// Command-line options shared by the experiment binaries.
 #[derive(Clone, Copy, Debug)]
 pub struct ExpOptions {
@@ -115,6 +146,13 @@ pub fn run_suite_report(opts: ExpOptions, seed: u64) -> SuiteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn provenance_fields_are_json_members() {
+        let p = Provenance { host_cores: 2, git_rev: "abc1234".to_string() };
+        assert_eq!(p.json_fields(), "  \"host_cores\": 2,\n  \"git_rev\": \"abc1234\",\n");
+        assert!(Provenance::probe().host_cores >= 1);
+    }
 
     #[test]
     fn option_parsing() {

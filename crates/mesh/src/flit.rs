@@ -63,13 +63,15 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::num::NonZeroU64;
 
 use commchar_des::SimTime;
 
 use crate::engine::{EngineError, NetEngine};
 use crate::sink::LogSink;
 use crate::{
-    MeshConfig, MsgRecord, NetLog, NetMessage, NodeId, StreamingLog, HOP_PORT_BITS, HOP_PORT_MASK,
+    MeshConfig, MeshShape, MsgRecord, NetLog, NetMessage, NodeId, StreamingLog, HOP_PORT_BITS,
+    HOP_PORT_MASK,
 };
 
 mod shard;
@@ -100,18 +102,23 @@ struct Flit {
     hop: u32,
 }
 
+/// One message in flight. Kept at 56 bytes: the closed-loop engine holds
+/// two copies of the worm arena, its largest allocations.
 #[derive(Clone, Copy, Debug)]
 struct Worm {
     msg: NetMessage,
     /// Offset/length of this worm's route in the shared route arena.
     route_off: u32,
     route_len: u32,
-    flits: u64,
     ejected: u64,
     /// Furthest arena index the head flit has reached (diagnostics).
     head_hop: u32,
-    delivered: Option<u64>,
+    /// Cycle the tail flit reached the destination NI (never cycle 0:
+    /// the ejection itself takes `link_delay >= 1`).
+    delivered: Option<NonZeroU64>,
 }
+
+const _: () = assert!(std::mem::size_of::<Worm>() == 56);
 
 /// A flit in flight on a channel, due to land in `buf` of `node`.
 #[derive(Clone, Copy, Debug)]
@@ -122,8 +129,9 @@ struct Landing {
 }
 
 /// The whole state of one simulation: worms, route arena, buffers, queues
-/// and event heaps. `Clone` exists for [`IncrementalFlit`], whose
-/// speculative state is a snapshot of the committed one.
+/// and event heaps. [`IncrementalFlit`] keeps a second one as its
+/// speculative state, a snapshot of the committed one; `Clone` exists for
+/// the sharded drain, which starts every band from a copy.
 #[derive(Clone, Debug, Default)]
 struct Workspace {
     worms: Vec<Worm>,
@@ -242,13 +250,9 @@ impl Workspace {
     /// `self` must be an earlier snapshot of the same run (or empty), so
     /// its arenas are prefixes of `src`'s.
     fn sync_from(&mut self, src: &Workspace, finalized: usize) {
-        debug_assert!(self.routes.len() <= src.routes.len());
-        debug_assert!(self.worms.len() <= src.worms.len());
         debug_assert!(finalized <= self.worms.len());
-        self.routes.extend_from_slice(&src.routes[self.routes.len()..]);
-        let known = self.worms.len();
-        self.worms[finalized..].copy_from_slice(&src.worms[finalized..known]);
-        self.worms.extend_from_slice(&src.worms[known..]);
+        self.extend_arenas(src);
+        self.worms[finalized..].copy_from_slice(&src.worms[finalized..]);
         self.slab.clone_from(&src.slab);
         self.bhead.clone_from(&src.bhead);
         self.blen.clone_from(&src.blen);
@@ -270,6 +274,57 @@ impl Workspace {
         self.cand.clone_from(&src.cand);
         self.port_of.clone_from(&src.port_of);
     }
+
+    /// Appends the suffixes of `src`'s append-only arenas (routes and
+    /// worms) that this earlier snapshot of the same run lacks. The
+    /// appended worms are `src`'s current values; older entries are left
+    /// as they were.
+    fn extend_arenas(&mut self, src: &Workspace) {
+        debug_assert!(self.routes.len() <= src.routes.len());
+        debug_assert!(self.worms.len() <= src.worms.len());
+        self.routes.extend_from_slice(&src.routes[self.routes.len()..]);
+        self.worms.extend_from_slice(&src.worms[self.worms.len()..]);
+    }
+}
+
+/// The router and input port fed by `node`'s output `port` on `shape`.
+/// The wrap arms only ever fire on a torus — a mesh route never walks off
+/// an edge.
+#[inline]
+fn downstream(shape: MeshShape, node: usize, port: usize) -> (usize, usize) {
+    let w = shape.width() as usize;
+    let nodes = shape.nodes();
+    match port {
+        PORT_E => (if (node + 1).is_multiple_of(w) { node + 1 - w } else { node + 1 }, PORT_W),
+        PORT_W => (if node.is_multiple_of(w) { node + w - 1 } else { node - 1 }, PORT_E),
+        PORT_S => (if node + w >= nodes { node + w - nodes } else { node + w }, PORT_N),
+        PORT_N => (if node < w { node + nodes - w } else { node - w }, PORT_S),
+        _ => unreachable!("ejection has no downstream router"),
+    }
+}
+
+/// The resources worm `w` claims in [`IncrementalFlit`]'s live counts:
+/// its source NI (`nodes*NPORTS + src`) and every output on its route
+/// (`node*NPORTS + port`, ejection included). The whole route is claimed
+/// for the worm's whole life, which is conservative.
+fn footprint<'a>(
+    cfg: &'a MeshConfig,
+    ws: &'a Workspace,
+    w: u32,
+) -> impl Iterator<Item = usize> + 'a {
+    let worm = &ws.worms[w as usize];
+    let src = worm.msg.src.index();
+    let route = &ws.routes[worm.route_off as usize..(worm.route_off + worm.route_len) as usize];
+    let mut node = src;
+    let outputs = route.iter().map(move |&hop| {
+        let port = (hop & HOP_PORT_MASK) as usize;
+        let o = node * NPORTS + port;
+        if port != PORT_LOCAL {
+            node = downstream(cfg.shape, node, port).0;
+        }
+        o
+    });
+    std::iter::once(cfg.shape.nodes() * NPORTS + src).chain(outputs)
 }
 
 /// Matches MeshShape channel numbering: dirs 0..3, ejection 5.
@@ -502,21 +557,6 @@ impl Engine<'_> {
         (self.ws.routes[f.hop as usize] & HOP_PORT_MASK) as usize
     }
 
-    /// The router and input port fed by `node`'s output `port`. The wrap
-    /// arms only ever fire on a torus — a mesh route never walks off an
-    /// edge.
-    fn downstream(&self, node: usize, port: usize) -> (usize, usize) {
-        let w = self.cfg.shape.width() as usize;
-        let nodes = self.cfg.shape.nodes();
-        match port {
-            PORT_E => (if (node + 1).is_multiple_of(w) { node + 1 - w } else { node + 1 }, PORT_W),
-            PORT_W => (if node.is_multiple_of(w) { node + w - 1 } else { node - 1 }, PORT_E),
-            PORT_S => (if node + w >= nodes { node + w - nodes } else { node + w }, PORT_N),
-            PORT_N => (if node < w { node + nodes - w } else { node - w }, PORT_S),
-            _ => unreachable!("ejection has no downstream router"),
-        }
-    }
-
     /// Registers `flit` (the new head of `node`'s buffer `buf`) with the
     /// output it requests and marks that output dirty; returns the
     /// output's global index. If the flit is still paying its router
@@ -722,7 +762,7 @@ impl Engine<'_> {
             // mirror, which tracks the same `blen + reserved` sum via
             // boundary forwards and received pop credits.
             if out != PORT_LOCAL {
-                let (dn, dp) = self.downstream(node, out);
+                let (dn, dp) = downstream(self.cfg.shape, node, out);
                 let dbuf = dn * self.stride + dp * self.vcs + ovc;
                 let occupancy = match &self.shard {
                     Some(ctx) if ctx.is_remote(dn) => ctx.occ[dbuf],
@@ -770,7 +810,7 @@ impl Engine<'_> {
         // reference's rescan (all later enablings schedule their own).
         let in_port = self.ws.port_of[buf] as usize;
         if in_port != PORT_LOCAL {
-            let (fnode, fport) = self.downstream(node, in_port);
+            let (fnode, fport) = downstream(self.cfg.shape, node, in_port);
             let f = (fnode * NPORTS + fport) as u32;
             let remote = self.shard.as_ref().is_some_and(|c| c.is_remote(fnode));
             if remote {
@@ -836,11 +876,11 @@ impl Engine<'_> {
                 worm.head_hop = flit.hop;
             }
             if flit.kind == Kind::Tail {
-                worm.delivered = Some(t + link);
+                worm.delivered = Some(NonZeroU64::new(t + link).expect("link_delay >= 1"));
                 self.remaining -= 1;
             }
         } else {
-            let (dn, dp) = self.downstream(node, out);
+            let (dn, dp) = downstream(self.cfg.shape, node, out);
             let dbuf = dp * self.vcs + ovc;
             let mut forwarded = flit;
             forwarded.hop += 1;
@@ -953,7 +993,7 @@ impl Engine<'_> {
                 worm.msg.src.index(),
                 worm.msg.dst.index(),
                 worm.ejected,
-                worm.flits,
+                self.cfg.flits_for(worm.msg.bytes),
                 worm.head_hop - worm.route_off,
                 worm.route_len - 1,
             ));
@@ -966,10 +1006,14 @@ impl Engine<'_> {
 }
 
 /// One snapshot of the event loop: the workspace plus where the loop
-/// stands in time. Cloning a `LoopState` is what makes speculation cheap —
-/// every field of [`Workspace`] is a flat vector or small heap, so the
-/// snapshot is a handful of memcpys sized by the mesh, not by history.
-#[derive(Clone, Debug)]
+/// stands in time. The closed-loop engine keeps a committed and a
+/// speculative one and refreshes the speculative one in place
+/// ([`LoopState::sync_from`]) — a copy sized by the mesh and the worms in
+/// flight, not by history. That copy is a small share of a speculative
+/// send; the bulk is the re-simulation the speculation then runs, which
+/// is why isolated sends skip speculation altogether (see
+/// [`IncrementalFlit`]).
+#[derive(Debug)]
 struct LoopState {
     ws: Workspace,
     /// Last processed cycle (`None` before the first).
@@ -999,6 +1043,18 @@ impl LoopState {
         self.remaining = src.remaining;
         self.finalized = src.finalized;
     }
+}
+
+/// The speculative slot of [`IncrementalFlit`].
+#[derive(Debug)]
+enum Spec {
+    /// The committed state run ahead to deliver the newest message:
+    /// promotable while it has not crossed the next safe horizon.
+    Live(LoopState),
+    /// A recycled buffer left behind by an isolated send: its allocations
+    /// serve the next speculation, but its contents are stale and are
+    /// never promoted.
+    Stale(LoopState),
 }
 
 /// The cycle-accurate flit router as a network engine: accepts one message
@@ -1042,6 +1098,25 @@ impl LoopState {
 /// is final. A batch [`simulate`](NetEngine::simulate) needs no feedback:
 /// it queues every worm on the committed state and drains once.
 ///
+/// **Isolated sends skip speculation.** The engine counts, per resource,
+/// the live worms (queued but not yet delivered by the committed state)
+/// whose footprint claims it: the source NI plus every output on the
+/// whole route. A new worm is *isolated* when it is the only live claimant
+/// of every resource in its footprint and `buffer_flits >= 2`. Worms
+/// interact only through shared outputs (and the input buffers those
+/// outputs feed) and a shared injection queue, and every worm that
+/// crossed an isolated worm's route has been delivered, leaving it idle
+/// and unowned by the time the new head can use it. So an isolated worm
+/// travels as it would through an empty network; its speculative answer
+/// is exactly `inject + zero_load_latency`, which `send` returns without
+/// refreshing or advancing the speculation. (With one-flit buffers a
+/// flit can only follow once the slot ahead has drained, so the worm
+/// streams slower than the formula assumes; the gate keeps them on the
+/// speculative path.)
+/// The committed state queues the worm as usual and simulates it in
+/// order; the recycled speculative buffer is kept only for its
+/// allocations.
+///
 /// # Example
 ///
 /// ```
@@ -1058,10 +1133,19 @@ impl LoopState {
 pub struct IncrementalFlit<S: LogSink = NetLog> {
     cfg: MeshConfig,
     committed: LoopState,
-    spec: Option<LoopState>,
+    spec: Option<Spec>,
     /// Per-node prefix max of NI entry times: the cycle each queued flit
     /// enters the reference model's unbounded injection buffer.
     entered: Vec<u64>,
+    /// Live-worm count per resource: output `node*NPORTS + port`, then
+    /// source NI `nodes*NPORTS + node` (see [`footprint`]).
+    claims: Vec<u32>,
+    /// Sent worms the committed state has not delivered yet — the ones
+    /// holding `claims`.
+    live: Vec<u32>,
+    /// Sends answered on the isolated fast path.
+    #[cfg(test)]
+    isolated_sends: u64,
     sink: S,
     last_inject: SimTime,
     /// `--sim-jobs`: worker threads for the final drain.
@@ -1133,6 +1217,10 @@ impl<S: LogSink> IncrementalFlit<S> {
             },
             spec: None,
             entered: vec![0; cfg.shape.nodes()],
+            claims: vec![0; cfg.shape.nodes() * (NPORTS + 1)],
+            live: Vec::new(),
+            #[cfg(test)]
+            isolated_sends: 0,
             sink,
             last_inject: SimTime::ZERO,
             sim_jobs: 1,
@@ -1191,7 +1279,6 @@ impl<S: LogSink> IncrementalFlit<S> {
             msg: m,
             route_off,
             route_len: ws.routes.len() as u32 - route_off,
-            flits,
             ejected: 0,
             head_hop: route_off,
             delivered: None,
@@ -1231,6 +1318,49 @@ impl<S: LogSink> IncrementalFlit<S> {
         w
     }
 
+    /// Releases the claims of every live worm the committed state has
+    /// delivered.
+    fn release_delivered(&mut self) {
+        let (cfg, ws, claims) = (&self.cfg, &self.committed.ws, &mut self.claims);
+        self.live.retain(|&w| {
+            let delivered = ws.worms[w as usize].delivered.is_some();
+            if delivered {
+                footprint(cfg, ws, w).for_each(|r| claims[r] -= 1);
+            }
+            !delivered
+        });
+    }
+
+    /// Makes the just-sent worm `w` live, adding its footprint to the
+    /// claims, and reports whether it is isolated (see the type docs):
+    /// sole claimant of every resource, with buffers of at least two
+    /// flits.
+    fn claim(&mut self, w: u32, horizon: u64) -> bool {
+        self.live.push(w);
+        let (cfg, ws) = (&self.cfg, &self.committed.ws);
+        let mut isolated = cfg.buffer_flits >= 2;
+        for r in footprint(cfg, ws, w) {
+            self.claims[r] += 1;
+            isolated &= self.claims[r] == 1;
+        }
+        // Every other worm that crossed this route was delivered before
+        // the horizon, so no VC on it is owned and each output is free by
+        // the time the head can first reach it: a tail leaves a transit
+        // output at least a link before its own ejection, and this worm
+        // reaches its `k`-th output no sooner than `k` links past the
+        // horizon.
+        debug_assert!(
+            !isolated
+                || footprint(cfg, ws, w).skip(1).enumerate().all(|(k, o)| {
+                    let vcs = cfg.virtual_channels;
+                    ws.busy_until[o] <= horizon + k as u64 * cfg.link_delay
+                        && ws.owners[o * vcs..(o + 1) * vcs].iter().all(Option::is_none)
+                }),
+            "an isolated worm's route is busy"
+        );
+        isolated
+    }
+
     /// Promotes the speculation (with no further sends it is
     /// unconditionally the true trajectory), drains every worm, emits one
     /// record per message in injection order (what the reference produces
@@ -1249,7 +1379,7 @@ impl<S: LogSink> IncrementalFlit<S> {
     /// [`EngineError::Wedged`] if the router deadlocks before every worm is
     /// delivered.
     fn drain(mut self) -> Result<S, EngineError> {
-        if let Some(spec) = self.spec.take() {
+        if let Some(Spec::Live(spec)) = self.spec.take() {
             self.committed = spec;
         }
         let cfg = self.cfg;
@@ -1263,7 +1393,7 @@ impl<S: LogSink> IncrementalFlit<S> {
         let mut first_inject: Option<u64> = None;
         let mut last_delivery = 0u64;
         for worm in &self.committed.ws.worms {
-            let delivered = worm.delivered.expect("all worms delivered");
+            let delivered = worm.delivered.expect("all worms delivered").get();
             first_inject.get_or_insert(worm.msg.inject.ticks());
             last_delivery = last_delivery.max(delivered);
             let hops = cfg.shape.hop_distance(worm.msg.src, worm.msg.dst);
@@ -1326,26 +1456,45 @@ impl<S: LogSink> NetEngine for IncrementalFlit<S> {
             // everything it did would have been redone identically, so it
             // *becomes* the committed state; the old committed state is
             // recycled as the next speculation's buffer.
-            Some(spec) if spec.clock.is_none_or(|c| c < horizon) => {
+            Some(Spec::Live(spec)) if spec.clock.is_none_or(|c| c < horizon) => {
                 std::mem::replace(&mut self.committed, spec)
             }
-            // Discarded speculation: its buffers are recycled.
-            Some(spec) => spec,
+            // Discarded speculation or a stale buffer: recycled.
+            Some(Spec::Live(spec) | Spec::Stale(spec)) => spec,
             None => LoopState::empty(),
         };
         Self::advance(&self.cfg, &mut self.committed, Goal::Before(horizon))?;
         // Committed deliveries are final — advance the watermark the
-        // snapshot refresh skips below.
+        // snapshot refresh skips below, and release the delivered worms'
+        // claims.
         while self.committed.finalized < self.committed.ws.worms.len()
             && self.committed.ws.worms[self.committed.finalized].delivered.is_some()
         {
             self.committed.finalized += 1;
         }
+        self.release_delivered();
         let w = self.add_worm(m);
+        if self.claim(w, horizon) {
+            // The stale buffer still grows its arenas in step with the
+            // committed ones, as every refresh does, and frees its NI
+            // queues: a lagging copy of either fragments the heap and
+            // raises peak memory.
+            scratch.ws.extend_arenas(&self.committed.ws);
+            scratch.ws.pending = Vec::new();
+            self.spec = Some(Spec::Stale(scratch));
+            #[cfg(test)]
+            {
+                self.isolated_sends += 1;
+            }
+            let hops = self.cfg.shape.hop_distance(m.src, m.dst);
+            return Ok(SimTime::from_ticks(
+                m.inject.ticks() + self.cfg.zero_load_latency(m.bytes, hops),
+            ));
+        }
         scratch.sync_from(&self.committed);
         Self::advance(&self.cfg, &mut scratch, Goal::Deliver(w))?;
-        let delivered = scratch.ws.worms[w as usize].delivered.expect("Deliver goal reached");
-        self.spec = Some(scratch);
+        let delivered = scratch.ws.worms[w as usize].delivered.expect("Deliver goal reached").get();
+        self.spec = Some(Spec::Live(scratch));
         Ok(SimTime::from_ticks(delivered))
     }
 
@@ -1487,6 +1636,25 @@ mod tests {
         for &(_, u) in log.utilization() {
             assert!(u > 0.0 && u <= 1.0 + 1e-9, "utilization {u} out of range");
         }
+    }
+
+    #[test]
+    fn isolated_sends_skip_speculation() {
+        let cfg = MeshConfig::new(4, 4).with_virtual_channels(2);
+        // Widely spaced: every worm drains long before the next is sent.
+        let mut spaced = IncrementalFlit::new(cfg);
+        for i in 0..40u64 {
+            let m = msg(i, (i % 16) as u16, ((i * 7 + 3) % 16) as u16, 64, i * 10_000);
+            spaced.send(m).unwrap();
+        }
+        assert_eq!(spaced.isolated_sends, 40);
+        // A same-source burst: each new worm queues behind the previous
+        // one at the source NI, so only the opening send is alone.
+        let mut burst = IncrementalFlit::new(cfg);
+        for i in 0..20u64 {
+            burst.send(msg(i, 5, ((i % 15 + 6) % 16) as u16, 64, i)).unwrap();
+        }
+        assert_eq!(burst.isolated_sends, 1);
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! incremental engine may only ever commit cycles no future injection can
 //! perturb, so however its speculation is promoted or discarded along the
 //! way, the drained log — every record and every per-channel utilization
-//! figure — must match the batch simulation byte for byte. Seed-driven
-//! workloads sweep mesh shapes × virtual-channel counts × traffic
-//! patterns, the same harness style that pins the batch router against
-//! its retained oracle in `equivalence.rs`.
+//! figure — must match the batch simulation byte for byte. Every per-send
+//! answer is pinned too, against a prefix oracle: send *k* must return
+//! message *k*'s delivery in a batch simulation of the first *k + 1*
+//! messages — whether the engine speculated or answered an isolated send
+//! at zero load. Seed-driven workloads sweep mesh shapes ×
+//! virtual-channel counts × traffic patterns, the same harness style that
+//! pins the batch router against its retained oracle in `equivalence.rs`.
 
 use commchar_des::SimTime;
 use commchar_mesh::{
@@ -77,21 +80,34 @@ fn hotspot(mut msgs: Vec<NetMessage>, nodes: usize) -> Vec<NetMessage> {
     msgs
 }
 
+/// Contention-free delivery cycle of `m` under `cfg`.
+fn zero_load_delivery(cfg: &MeshConfig, m: &NetMessage) -> u64 {
+    m.inject.ticks() + cfg.zero_load_latency(m.bytes, cfg.shape.hop_distance(m.src, m.dst))
+}
+
 /// Feeds `msgs` one at a time through the closed-loop engine (sorted by
-/// injection time, the trait's contract) and asserts the drained log is
-/// byte-identical to a batch simulation of the same slice.
+/// injection time, the trait's contract), asserts every answer against the
+/// prefix oracle and the drained log byte-identical to a batch simulation
+/// of the same slice.
 fn assert_closed_loop_identical(cfg: MeshConfig, msgs: &[NetMessage], label: &str) {
     let batch = IncrementalFlit::new(cfg).simulate(msgs).unwrap_or_else(|e| panic!("{label}: {e}"));
 
     let mut sorted: Vec<NetMessage> = msgs.to_vec();
     sorted.sort_by_key(|m| (m.inject, m.id));
     let mut engine = IncrementalFlit::new(cfg);
-    for &m in &sorted {
-        let d = engine.send(m).unwrap_or_else(|e| panic!("{label}: {e}"));
-        // The per-send feedback is speculative, but never earlier than the
-        // uncontended bound and never later than the final answer can
-        // improve on: sanity-check it is a plausible delivery time.
-        assert!(d.ticks() > m.inject.ticks(), "{label}: delivery precedes injection (id {})", m.id);
+    for (k, &m) in sorted.iter().enumerate() {
+        let d = engine.send(m).unwrap_or_else(|e| panic!("{label}: {e}")).ticks();
+        assert!(
+            d >= zero_load_delivery(&cfg, &m),
+            "{label}: delivery {d} beats the zero-load bound (id {})",
+            m.id
+        );
+        // The answer assumes no further traffic: it is message k's
+        // delivery once the first k + 1 messages have drained.
+        let prefix = IncrementalFlit::new(cfg).simulate(&sorted[..=k]).unwrap();
+        let oracle = prefix.records().last().expect("prefix is nonempty");
+        assert_eq!(oracle.id, m.id, "{label}: prefix log out of injection order");
+        assert_eq!(d, oracle.delivered, "{label}: send {k} (id {}) answered off the oracle", m.id);
     }
     let log = engine.finish();
 
@@ -159,6 +175,12 @@ fn closed_loop_matches_batch_with_nondefault_router_parameters() {
     let cfg = MeshConfig::new(4, 4).with_buffer_flits(8).with_router_delay(5);
     let msgs = workload(123, 16, 100, 3, 48);
     assert_closed_loop_identical(cfg, &msgs, "4x4 slow-router");
+
+    // One-flit buffers: the zero-load formula does not hold there, so
+    // every send must take the speculative path and still match.
+    let cfg = MeshConfig::new(4, 4).with_buffer_flits(1).with_router_delay(0);
+    let msgs = workload(77, 16, 100, 12, 48);
+    assert_closed_loop_identical(cfg, &msgs, "4x4 one-flit buffers");
 }
 
 #[test]
@@ -192,6 +214,98 @@ fn closed_loop_matches_batch_on_widely_spaced_traffic() {
         m.inject = SimTime::from_ticks(i as u64 * 10_000);
     }
     assert_closed_loop_identical(cfg, &msgs, "widely-spaced");
+}
+
+#[test]
+fn closed_loop_matches_batch_on_sparse_traffic() {
+    // Gaps long enough for most worms to drain before the next injection
+    // but not all: isolated sends (answered at zero load) interleave with
+    // speculative ones, across every (topology × routing) cell.
+    for topology in [Topology::Mesh, Topology::Torus] {
+        for routing in [Routing::Dimension, Routing::Adaptive] {
+            let base = MeshConfig::for_nodes_net(16, topology, routing);
+            // Slow links with no router charge: a just-delivered worm's
+            // last channels are still busy when the next head sets out.
+            for cfg in [base, base.with_link_delay(3).with_router_delay(0)] {
+                let msgs = workload(61, 16, 120, 60, 64);
+                let label = format!("sparse {topology} {routing} link={}", cfg.link_delay);
+                assert_closed_loop_identical(cfg, &msgs, &label);
+            }
+        }
+    }
+}
+
+/// The configurations the zero-load premise is swept over: every
+/// (topology × routing) cell at the minimum and twice the minimum VC
+/// budget, link delays 1–3 and router delays 0–3.
+fn premise_configs() -> Vec<MeshConfig> {
+    let mut cfgs = Vec::new();
+    for topology in [Topology::Mesh, Topology::Torus] {
+        for routing in [Routing::Dimension, Routing::Adaptive] {
+            let base = MeshConfig::for_nodes_net(16, topology, routing);
+            for vcs in [base.vc_classes(), base.vc_classes() * 2] {
+                for link in 1..=3 {
+                    for router in 0..=3 {
+                        cfgs.push(
+                            base.with_virtual_channels(vcs)
+                                .with_link_delay(link)
+                                .with_router_delay(router),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    cfgs
+}
+
+#[test]
+fn isolated_worm_is_delivered_at_zero_load() {
+    // The closed-loop fast path's premise: a worm alone in the network is
+    // delivered at exactly `inject + zero_load_latency` whenever buffers
+    // hold at least two flits.
+    let mut cases = 0;
+    for cfg in premise_configs() {
+        for buffer in [2, 3, 8] {
+            let cfg = cfg.with_buffer_flits(buffer);
+            let mut rng = Lcg::new(buffer as u64);
+            for pair in 0..10u64 {
+                let src = rng.below(16) as u16;
+                let dst = (src + 1 + rng.below(15) as u16) % 16;
+                for bytes in [1u32, 17, 200] {
+                    let m = NetMessage {
+                        id: pair,
+                        src: NodeId(src),
+                        dst: NodeId(dst),
+                        bytes,
+                        inject: SimTime::from_ticks(5 + pair),
+                    };
+                    let log = IncrementalFlit::new(cfg).simulate(&[m]).unwrap();
+                    assert_eq!(
+                        log.records()[0].delivered,
+                        zero_load_delivery(&cfg, &m),
+                        "{cfg:?}: {src}->{dst} {bytes}B"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 8_640);
+}
+
+#[test]
+fn one_flit_buffers_break_the_zero_load_formula() {
+    // Why the fast path requires `buffer_flits >= 2`: with one-flit
+    // buffers a lone 1-byte worm 0 -> 15 takes 16 cycles, not the
+    // formula's 12, and the closed-loop answer must be the true 16.
+    let cfg = MeshConfig::new(4, 4).with_buffer_flits(1).with_router_delay(0);
+    let m = NetMessage { id: 0, src: NodeId(0), dst: NodeId(15), bytes: 1, inject: SimTime::ZERO };
+    assert_eq!(zero_load_delivery(&cfg, &m), 12);
+    let batch = IncrementalFlit::new(cfg).simulate(&[m]).unwrap();
+    assert_eq!(batch.records()[0].delivered, 16);
+    let mut engine = IncrementalFlit::new(cfg);
+    assert_eq!(engine.send(m).unwrap().ticks(), 16);
 }
 
 #[test]
