@@ -13,6 +13,13 @@
 //!    cross-checked for byte identity first, and the closed-loop overhead
 //!    ratio is asserted ≤ 3× — the price of per-send feedback must stay
 //!    bounded.
+//! 3. **Application replay** — the static strategy's real closed loop: the
+//!    MG sp2 trace (16 processors, full scale) causally replayed through
+//!    `IncrementalFlit` on the 16-node mesh. The replayed schedule is
+//!    cross-checked against a batch `simulate` of itself, then the row
+//!    records µs per send and how the sends were answered: the share kept
+//!    out of the simulation as ghost worms, and the share of those a later
+//!    send touched before delivery (materialized).
 //!
 //! Results go to stdout and `BENCH_engine.json` at the repo root.
 //! `--quick` runs one iteration on smaller workloads (the
@@ -25,7 +32,10 @@ use commchar_apps::{AppId, Scale};
 use commchar_bench::Provenance;
 use commchar_core::{characterize, run_workload_engine};
 use commchar_des::SimTime;
-use commchar_mesh::{EngineKind, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId};
+use commchar_mesh::{
+    EngineKind, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, SendPaths,
+};
+use commchar_trace::replay::CausalReplayer;
 
 /// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
 struct Lcg(u64);
@@ -116,6 +126,48 @@ fn fidelity(scale: Scale) -> Vec<AppRow> {
     rows
 }
 
+struct ReplayRow {
+    sends: usize,
+    us_per_send: f64,
+    paths: SendPaths,
+}
+
+/// Causal replay of the MG sp2 trace (16 processors, full scale) through
+/// the closed-loop flit engine, cross-checked against a batch run of the
+/// schedule it produced.
+fn app_replay(iters: u32) -> ReplayRow {
+    let cfg = MeshConfig::for_nodes(16);
+    let trace = AppId::Mg.run(16, Scale::Full).trace;
+    let replayer = CausalReplayer::new(cfg);
+    let log = replayer.replay_engine(&trace, IncrementalFlit::new(cfg)).expect("causal replay");
+    // Records come out in send order and carry the replayed injection
+    // times: they are the schedule the replay fed the engine.
+    let schedule: Vec<NetMessage> = log
+        .records()
+        .iter()
+        .map(|r| NetMessage {
+            id: r.id,
+            src: r.src,
+            dst: r.dst,
+            bytes: r.bytes,
+            inject: SimTime::from_ticks(r.inject),
+        })
+        .collect();
+    let batch = IncrementalFlit::new(cfg).simulate(&schedule).expect("flit simulation");
+    assert_eq!(batch.records(), log.records(), "causal replay diverged from batch");
+    assert_eq!(batch.utilization(), log.utilization(), "replay utilization diverged");
+    let mut engine = IncrementalFlit::new(cfg);
+    for &m in &schedule {
+        engine.send(m).expect("replayed schedule is ordered");
+    }
+    let paths = engine.send_paths();
+    let t = time_best(iters, || {
+        let log = replayer.replay_engine(&trace, IncrementalFlit::new(cfg)).expect("causal replay");
+        assert_eq!(log.records().len(), schedule.len());
+    });
+    ReplayRow { sends: schedule.len(), us_per_send: t * 1e6 / schedule.len() as f64, paths }
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let iters = if quick { 1 } else { 3 };
@@ -178,6 +230,16 @@ fn main() {
     println!("  incremental (closed loop): {inc_rate:>12.0} msgs/sec");
     println!("  closed-loop overhead     : {overhead:.2}x");
 
+    let replay = app_replay(iters);
+    let share = |part: u64, whole: u64| part as f64 / whole.max(1) as f64;
+    let ghost_share = share(replay.paths.ghosts, replay.paths.sends);
+    let materialized_share = share(replay.paths.materialized, replay.paths.ghosts);
+    println!("\napplication replay (mg, 16 procs, full scale, sp2 trace, 16-node mesh):");
+    println!("  sends                    : {:>12}", replay.sends);
+    println!("  closed-loop cost         : {:>12.1} us/send", replay.us_per_send);
+    println!("  ghost worms              : {:>11.1}% of sends", 100.0 * ghost_share);
+    println!("  materialized             : {:>11.1}% of ghosts", 100.0 * materialized_share);
+
     // Hand-rolled JSON (serde is stripped from the offline build).
     let mut json = String::from("{\n  \"bench\": \"engine_comparison\",\n  \"mode\": ");
     let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
@@ -206,11 +268,18 @@ fn main() {
     let _ = writeln!(
         json,
         "{{\"messages\": {}, \"batch_msgs_per_sec\": {:.1}, \
-         \"incremental_msgs_per_sec\": {:.1}, \"overhead\": {:.3}}}\n}}",
+         \"incremental_msgs_per_sec\": {:.1}, \"overhead\": {:.3}}},",
         msgs.len(),
         batch_rate,
         inc_rate,
         overhead
+    );
+    let _ = writeln!(
+        json,
+        "  \"app_replay\": {{\"app\": \"mg\", \"procs\": 16, \"scale\": \"full\", \
+         \"sends\": {}, \"us_per_send\": {:.2}, \"ghost_share\": {:.4}, \
+         \"materialized_share\": {:.4}}}\n}}",
+        replay.sends, replay.us_per_send, ghost_share, materialized_share
     );
     let path = "BENCH_engine.json";
     std::fs::write(path, &json).expect("write BENCH_engine.json");

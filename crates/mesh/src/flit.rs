@@ -275,6 +275,112 @@ impl Workspace {
         self.port_of.clone_from(&src.port_of);
     }
 
+    /// Adds in-node buffer `buf` to output `o`'s sorted request queue
+    /// (`stride` slots per output) unless it is already there.
+    #[inline]
+    fn insert_request(&mut self, o: usize, stride: usize, buf: u32) {
+        let base = o * stride;
+        let len = self.req_len[o] as usize;
+        // Sorted insert by linear scan — queues hold at most `stride`
+        // (tiny) entries, and the common case is "already present".
+        let mut pos = len;
+        for i in 0..len {
+            let cur = self.req[base + i];
+            if cur >= buf {
+                if cur == buf {
+                    return;
+                }
+                pos = i;
+                break;
+            }
+        }
+        self.req.copy_within(base + pos..base + len, base + pos + 1);
+        self.req[base + pos] = buf;
+        self.req_len[o] = (len + 1) as u8;
+    }
+
+    /// Moves a lone worm's state out of `rp`, the private workspace it was
+    /// replayed in as worm 0 with its route at offset 0, into `self`,
+    /// where it is worm `w` with its route at `off`, and leaves `rp` idle
+    /// again. Only the worm's footprint is touched: `outs` (its route
+    /// outputs), the input buffers they feed and its source's injection
+    /// buffers and NI queue; the wheel slots and landing buckets are
+    /// merged. Nothing in `self` uses that footprint, so its buffers,
+    /// reservations, owners and NI queue there are empty, and the
+    /// per-output fields `rp` was seeded with come back whole — except
+    /// `busy_ticks`, which `rp` counted from zero.
+    fn absorb(&mut self, rp: &mut Workspace, cfg: &MeshConfig, outs: &[usize], w: u32, off: u32) {
+        let vcs = cfg.virtual_channels;
+        let stride = NPORTS * vcs;
+        let cap = cfg.buffer_flits.next_power_of_two();
+        let relabel = |f: Flit| Flit { worm: w, hop: f.hop + off, ..f };
+        let src = rp.worms[0].msg.src.index();
+        let fed = outs.iter().filter(|&&o| o % NPORTS != PORT_LOCAL).map(|&o| {
+            let (dn, dp) = downstream(cfg.shape, o / NPORTS, o % NPORTS);
+            dn * stride + dp * vcs
+        });
+        for first in std::iter::once(src * stride + PORT_LOCAL * vcs).chain(fed) {
+            for b in first..first + vcs {
+                debug_assert!(
+                    self.blen[b] == 0 && self.reserved[b] == 0,
+                    "a ghost's buffer is in use"
+                );
+                let (head, len) = (rp.bhead[b], rp.blen[b]);
+                for i in 0..len {
+                    let slot = b * cap + ((head + i) as usize & (cap - 1));
+                    self.slab[slot] = relabel(rp.slab[slot]);
+                }
+                self.bhead[b] = std::mem::take(&mut rp.bhead[b]);
+                self.blen[b] = std::mem::take(&mut rp.blen[b]);
+                self.reserved[b] = std::mem::take(&mut rp.reserved[b]);
+            }
+        }
+        for &o in outs {
+            self.rr[o] = std::mem::take(&mut rp.rr[o]);
+            self.vc_rr[o] = std::mem::take(&mut rp.vc_rr[o]);
+            self.busy_until[o] = std::mem::take(&mut rp.busy_until[o]);
+            self.busy_ticks[o] += std::mem::take(&mut rp.busy_ticks[o]);
+            for v in o * vcs..(o + 1) * vcs {
+                debug_assert!(self.owners[v].is_none(), "a ghost's VC is owned");
+                self.owners[v] = rp.owners[v].take().map(|_| w);
+            }
+            for i in 0..std::mem::take(&mut rp.req_len[o]) as usize {
+                self.insert_request(o, stride, rp.req[o * stride + i]);
+            }
+            let bit = 1u64 << (o % 64);
+            if rp.dirty[o / 64] & bit != 0 {
+                self.dirty[o / 64] |= bit;
+                rp.dirty[o / 64] &= !bit;
+            }
+        }
+        for (slot, from) in self.ring.iter_mut().zip(&mut rp.ring) {
+            slot.append(from);
+        }
+        // Landings are copied, never their buckets: each workspace keeps
+        // recycling its own, so neither spare pool grows.
+        while let Some((at, mut bucket)) = rp.due.pop_front() {
+            let i = self.due.iter().position(|&(t, _)| t >= at).unwrap_or(self.due.len());
+            if self.due.get(i).is_none_or(|&(t, _)| t != at) {
+                let mut fresh = self.spare.pop().unwrap_or_default();
+                fresh.clear();
+                self.due.insert(i, (at, fresh));
+            }
+            let landings = bucket.drain(..).map(|l| Landing { flit: relabel(l.flit), ..l });
+            self.due[i].1.extend(landings);
+            rp.spare.push(bucket);
+        }
+        debug_assert!(self.pending[src].is_empty(), "a ghost's NI is in use");
+        rp.pending[src].iter_mut().for_each(|(_, f)| *f = relabel(*f));
+        std::mem::swap(&mut self.pending[src], &mut rp.pending[src]);
+        self.ni_events.extend(rp.ni_events.drain());
+        self.ni_sched[src] = std::mem::replace(&mut rp.ni_sched[src], u64::MAX);
+        let lone = rp.worms.pop().expect("one replayed worm");
+        rp.routes.clear();
+        let worm = &mut self.worms[w as usize];
+        worm.ejected = lone.ejected;
+        worm.head_hop = lone.head_hop + off;
+    }
+
     /// Appends the suffixes of `src`'s append-only arenas (routes and
     /// worms) that this earlier snapshot of the same run lacks. The
     /// appended worms are `src`'s current values; older entries are left
@@ -303,10 +409,32 @@ fn downstream(shape: MeshShape, node: usize, port: usize) -> (usize, usize) {
     }
 }
 
-/// The resources worm `w` claims in [`IncrementalFlit`]'s live counts:
-/// its source NI (`nodes*NPORTS + src`) and every output on its route
-/// (`node*NPORTS + port`, ejection included). The whole route is claimed
-/// for the worm's whole life, which is conservative.
+/// The outputs on a route from `src`, in route order, each paired with its
+/// route byte: `node*NPORTS + port` per inter-router hop, then the
+/// ejection output.
+fn route_outputs<'a>(
+    cfg: &'a MeshConfig,
+    src: usize,
+    route: &'a [u8],
+) -> impl Iterator<Item = (usize, u8)> + 'a {
+    let mut node = src;
+    route.iter().map(move |&hop| {
+        let port = (hop & HOP_PORT_MASK) as usize;
+        let o = node * NPORTS + port;
+        if port != PORT_LOCAL {
+            node = downstream(cfg.shape, node, port).0;
+        }
+        (o, hop)
+    })
+}
+
+/// The resources worm `w` claims in [`IncrementalFlit`]'s live counts and
+/// ghost owners: its source NI (`nodes*NPORTS + src`) and every output on
+/// its route (`node*NPORTS + port`, ejection included). The whole route
+/// is claimed for the worm's whole life, which is conservative. Worms meet
+/// only at shared outputs (and the input buffers those outputs feed) and
+/// at a shared source NI, so worms with disjoint footprints never
+/// interact — which is what lets a ghost worm stay out of the simulation.
 fn footprint<'a>(
     cfg: &'a MeshConfig,
     ws: &'a Workspace,
@@ -315,16 +443,102 @@ fn footprint<'a>(
     let worm = &ws.worms[w as usize];
     let src = worm.msg.src.index();
     let route = &ws.routes[worm.route_off as usize..(worm.route_off + worm.route_len) as usize];
-    let mut node = src;
-    let outputs = route.iter().map(move |&hop| {
-        let port = (hop & HOP_PORT_MASK) as usize;
-        let o = node * NPORTS + port;
-        if port != PORT_LOCAL {
-            node = downstream(cfg.shape, node, port).0;
-        }
-        o
-    });
+    let outputs = route_outputs(cfg, src, route).map(|(o, _)| o);
     std::iter::once(cfg.shape.nodes() * NPORTS + src).chain(outputs)
+}
+
+/// The output VCs `[lo, hi)` a head of virtual-channel class `class` may
+/// allocate: its class's share of the VC range.
+fn class_vcs(cfg: &MeshConfig, class: usize) -> (usize, usize) {
+    let (v, n) = (cfg.virtual_channels, cfg.vc_classes());
+    (class * v / n, (class + 1) * v / n)
+}
+
+/// The cycle `m`'s tail reaches its destination NI through an empty
+/// network.
+fn zero_load_delivery(cfg: &MeshConfig, m: &NetMessage) -> u64 {
+    m.inject.ticks() + cfg.zero_load_latency(m.bytes, cfg.shape.hop_distance(m.src, m.dst))
+}
+
+/// Resolves ghost worm `w` in closed form: leaves `ws` as simulating the
+/// worm alone would, delivered at `delivered` (its zero-load delivery).
+/// Alone, every flit crosses every route output once, and the head finds
+/// every VC of its class free, so it takes the first one
+/// [`Engine::free_vc`] tries; owners, buffers and reservations end where
+/// they started.
+///
+/// `busy_until` is set on the ejection output only, to `delivered` (the
+/// tail's ejection is that output's last move). A transit output's last
+/// move is the tail's too, at least a link before its ejection at
+/// `delivered - link_delay`. A ghost is only resolved once that cycle is
+/// below the horizon of a later send, and every later request at one of
+/// its outputs comes from a worm sent since, whose head reaches no output
+/// before that horizon. So no visit can tell the earlier (lower)
+/// `busy_until` left in place from the true one.
+fn resolve_ghost(cfg: &MeshConfig, ws: &mut Workspace, w: u32, delivered: u64) {
+    let Workspace { worms, routes, rr, vc_rr, busy_ticks, busy_until, .. } = ws;
+    let worm = &mut worms[w as usize];
+    let flits = cfg.flits_for(worm.msg.bytes);
+    let last = worm.route_off + worm.route_len - 1;
+    let route = &routes[worm.route_off as usize..=last as usize];
+    let mut eject = 0;
+    for (o, hop) in route_outputs(cfg, worm.msg.src.index(), route) {
+        rr[o] = rr[o].wrapping_add(flits as usize);
+        busy_ticks[o] += flits * cfg.link_delay;
+        let (lo, hi) = class_vcs(cfg, (hop >> HOP_PORT_BITS) as usize);
+        let vc = lo + vc_rr[o] % (hi - lo);
+        vc_rr[o] = if vc + 1 == cfg.virtual_channels { 0 } else { vc + 1 };
+        eject = o;
+    }
+    busy_until[eject] = delivered;
+    worm.ejected = flits;
+    worm.head_hop = last;
+    worm.delivered = Some(NonZeroU64::new(delivered).expect("delivery follows injection"));
+}
+
+/// Queues worm `w`'s flits at its source NI in `ws`: the head becomes
+/// available `hop_latency` after injection, the body follows at one flit
+/// per `link_delay`, and entry times are the running prefix max
+/// `entered` of the source's NI. Flits of one message stay contiguous (a
+/// worm may never interleave with another in the injection buffer), and
+/// messages enter injection VC 0; VC spreading happens at the routers.
+/// On the committed state entry times are always at or beyond the safe
+/// horizon, so queueing never touches a committed cycle.
+fn queue_flits(cfg: &MeshConfig, ws: &mut Workspace, w: u32, entered: &mut u64) {
+    let worm = ws.worms[w as usize];
+    let m = worm.msg;
+    let src = m.src.index();
+    let flits = cfg.flits_for(m.bytes);
+    let base = m.inject.ticks() + cfg.hop_latency();
+    let was_empty = ws.pending[src].is_empty();
+    for j in 0..flits {
+        let kind = if j == 0 {
+            Kind::Head
+        } else if j == flits - 1 {
+            Kind::Tail
+        } else {
+            Kind::Body
+        };
+        let avail = base + j * cfg.link_delay;
+        let entry = (*entered).max(avail);
+        *entered = entry;
+        // Heads are charged their router delay from the entry cycle —
+        // when they enter the reference's unbounded injection buffer —
+        // which decouples the charge from our *capped* injection
+        // buffers: a flit may sit in `pending` past its entry time
+        // waiting for a slot without perturbing any observable timing.
+        // Body and tail flits keep their raw availability.
+        let ready = if kind == Kind::Head { entry + cfg.router_delay } else { avail };
+        ws.pending[src].push_back((entry, Flit { worm: w, kind, ready, hop: worm.route_off }));
+    }
+    // A nonempty queue already has its front's NI event scheduled (the
+    // standing invariant of `drain_ni`/`move_flit`); an empty one needs
+    // the new front announced.
+    if was_empty {
+        let e = ws.pending[src].front().expect("flits just queued").0;
+        ws.ni_events.push(Reverse((e, src as u32)));
+        ws.ni_sched[src] = e;
+    }
 }
 
 /// Matches MeshShape channel numbering: dirs 0..3, ejection 5.
@@ -452,6 +666,23 @@ struct Engine<'a> {
     shard: Option<&'a mut ShardCtx>,
 }
 
+impl<'a> Engine<'a> {
+    /// The serial event loop over `ws` with `remaining` worms undelivered.
+    fn serial(cfg: &MeshConfig, ws: &'a mut Workspace, remaining: usize) -> Engine<'a> {
+        let vcs = cfg.virtual_channels;
+        Engine {
+            cfg: *cfg,
+            vcs,
+            stride: NPORTS * vcs,
+            wheel: wheel_slots(cfg),
+            cap: cfg.buffer_flits.next_power_of_two(),
+            ws,
+            remaining,
+            shard: None,
+        }
+    }
+}
+
 impl Engine<'_> {
     /// Head flit of buffer `b`, if any (a copy — flits are small).
     #[inline]
@@ -565,26 +796,7 @@ impl Engine<'_> {
     fn register(&mut self, node: usize, buf: usize, flit: Flit, t: u64) -> u32 {
         let out = self.flit_port(&flit);
         let o = node * NPORTS + out;
-        let base = o * self.stride;
-        let len = self.ws.req_len[o] as usize;
-        let buf = buf as u32;
-        // Sorted insert by linear scan — queues hold at most `stride`
-        // (tiny) entries, and the common case is "already present".
-        let mut pos = len;
-        let mut present = false;
-        for i in 0..len {
-            let cur = self.ws.req[base + i];
-            if cur >= buf {
-                present = cur == buf;
-                pos = i;
-                break;
-            }
-        }
-        if !present {
-            self.ws.req.copy_within(base + pos..base + len, base + pos + 1);
-            self.ws.req[base + pos] = buf;
-            self.ws.req_len[o] = (len + 1) as u8;
-        }
+        self.ws.insert_request(o, self.stride, buf as u32);
         self.ws.dirty[o / 64] |= 1 << (o % 64);
         if flit.ready > t {
             self.mark_at(flit.ready, o as u32);
@@ -925,8 +1137,7 @@ impl Engine<'_> {
     /// historical search.
     fn free_vc(&self, o: usize, class: usize) -> Option<usize> {
         let v = self.vcs;
-        let n = self.cfg.vc_classes();
-        let (lo, hi) = (class * v / n, (class + 1) * v / n);
+        let (lo, hi) = class_vcs(&self.cfg, class);
         let size = hi - lo;
         let start = lo + self.ws.vc_rr[o] % size;
         (0..size)
@@ -1045,6 +1256,22 @@ impl LoopState {
     }
 }
 
+/// [`IncrementalFlit::ghost_of`] entry of a resource no ghost holds.
+const NO_GHOST: u32 = u32::MAX;
+
+/// How an [`IncrementalFlit`] has answered its sends so far (see its
+/// "Ghost worms" docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SendPaths {
+    /// Every [`send`](NetEngine::send).
+    pub sends: u64,
+    /// Isolated sends, answered at zero load and kept as ghost worms.
+    pub ghosts: u64,
+    /// Ghosts a later send touched before their delivery, replayed into
+    /// the committed state; the rest were resolved in closed form.
+    pub materialized: u64,
+}
+
 /// The speculative slot of [`IncrementalFlit`].
 #[derive(Debug)]
 enum Spec {
@@ -1112,10 +1339,42 @@ enum Spec {
 /// refreshing or advancing the speculation. (With one-flit buffers a
 /// flit can only follow once the slot ahead has drained, so the worm
 /// streams slower than the formula assumes; the gate keeps them on the
-/// speculative path.)
-/// The committed state queues the worm as usual and simulates it in
-/// order; the recycled speculative buffer is kept only for its
-/// allocations.
+/// speculative path.) The recycled speculative buffer is kept only for
+/// its allocations.
+///
+/// # Ghost worms
+///
+/// An isolated worm does not enter the committed state either. Its `Worm`
+/// and route join the arenas (ids and record order are unchanged) and its
+/// source's NI entry watermark advances, but its flits are not queued:
+/// the worm becomes a *ghost*, and every resource of its footprint
+/// records it as its ghost owner, so a conflict is found in
+/// O(footprint). A ghost is disjoint from every other live worm by
+/// construction, and it stays so until a later send claims one of its
+/// resources, so it ends one of two ways:
+///
+/// - **Resolved in closed form** once the committed state would have
+///   processed its tail's ejection (`delivered - link_delay` below a later
+///   send's horizon), or at the final drain, when no traffic follows. It
+///   is delivered at `inject + zero_load_latency`, releases its claims,
+///   and leaves on every route output exactly what the lone worm's
+///   simulation would: one round-robin step and one link of busy time per
+///   flit, the VC round-robin past the VC its head took, and the ejection
+///   output busy until the delivery (see `resolve_ghost`).
+/// - **Materialized** when a new send's footprint hits it first. The ghost
+///   is replayed alone from its injection through every cycle below the
+///   current horizon, in one reused private workspace seeded with the
+///   committed round-robin and busy state of its outputs, and its
+///   footprint's state (buffers, reservations, owners, per-output fields,
+///   request queues, dirty bits, wheel slots, landings and NI queue) is
+///   moved into the committed state — before the new worm is queued or
+///   the speculation re-synced. From there it is an ordinary worm.
+///
+/// Either way the committed state ends exactly where simulating every
+/// worm all along would have left it, so the final log is unchanged,
+/// while the worms no later send touches — most of them, in causal
+/// replays of message-passing traces — are never simulated at all.
+/// [`send_paths`](IncrementalFlit::send_paths) counts both paths.
 ///
 /// # Example
 ///
@@ -1140,12 +1399,18 @@ pub struct IncrementalFlit<S: LogSink = NetLog> {
     /// Live-worm count per resource: output `node*NPORTS + port`, then
     /// source NI `nodes*NPORTS + node` (see [`footprint`]).
     claims: Vec<u32>,
-    /// Sent worms the committed state has not delivered yet — the ones
-    /// holding `claims`.
+    /// Sent worms the committed state has not delivered yet, ghosts
+    /// included — the ones holding `claims`.
     live: Vec<u32>,
-    /// Sends answered on the isolated fast path.
-    #[cfg(test)]
-    isolated_sends: u64,
+    /// Live ghost worms with their zero-load delivery cycle.
+    ghosts: Vec<(u32, u64)>,
+    /// The ghost holding each resource (indexed like `claims`), or
+    /// [`NO_GHOST`].
+    ghost_of: Vec<u32>,
+    /// Private workspace a materializing ghost is replayed in, allocated
+    /// on first use and idle between uses.
+    replay: Option<Workspace>,
+    paths: SendPaths,
     sink: S,
     last_inject: SimTime,
     /// `--sim-jobs`: worker threads for the final drain.
@@ -1219,8 +1484,10 @@ impl<S: LogSink> IncrementalFlit<S> {
             entered: vec![0; cfg.shape.nodes()],
             claims: vec![0; cfg.shape.nodes() * (NPORTS + 1)],
             live: Vec::new(),
-            #[cfg(test)]
-            isolated_sends: 0,
+            ghosts: Vec::new(),
+            ghost_of: vec![NO_GHOST; cfg.shape.nodes() * (NPORTS + 1)],
+            replay: None,
+            paths: SendPaths::default(),
             sink,
             last_inject: SimTime::ZERO,
             sim_jobs: 1,
@@ -1244,37 +1511,19 @@ impl<S: LogSink> IncrementalFlit<S> {
 
     /// Runs one state's event loop toward `goal`.
     fn advance(cfg: &MeshConfig, st: &mut LoopState, goal: Goal) -> Result<(), EngineError> {
-        let vcs = cfg.virtual_channels;
-        let mut engine = Engine {
-            cfg: *cfg,
-            vcs,
-            stride: NPORTS * vcs,
-            wheel: wheel_slots(cfg),
-            cap: cfg.buffer_flits.next_power_of_two(),
-            ws: &mut st.ws,
-            remaining: st.remaining,
-            shard: None,
-        };
+        let mut engine = Engine::serial(cfg, &mut st.ws, st.remaining);
         st.clock = engine.advance(st.clock, goal)?;
         st.remaining = engine.remaining;
         Ok(())
     }
 
-    /// Builds the message's worm and queues its flits at the source NI of
-    /// the committed state: the head becomes available `hop_latency` after
-    /// injection, the body follows at one flit per `link_delay`, and entry
-    /// times are the running per-node prefix max. Flits of one message stay
-    /// contiguous (a worm may never interleave with another in the
-    /// injection buffer), and messages enter injection VC 0; VC spreading
-    /// happens at the routers. Entry times are always at or beyond the safe
-    /// horizon, so appending never touches a committed cycle.
-    fn add_worm(&mut self, m: NetMessage) -> u32 {
-        let cfg = self.cfg;
+    /// Appends the message's worm and route to the committed arenas and
+    /// returns its id; [`queue_flits`] or a ghost takes it from there.
+    fn push_worm(&mut self, m: NetMessage) -> u32 {
         let ws = &mut self.committed.ws;
         let w = ws.worms.len() as u32;
         let route_off = ws.routes.len() as u32;
-        build_route(&cfg, m.src, m.dst, &mut ws.routes);
-        let flits = cfg.flits_for(m.bytes);
+        build_route(&self.cfg, m.src, m.dst, &mut ws.routes);
         ws.worms.push(Worm {
             msg: m,
             route_off,
@@ -1283,39 +1532,14 @@ impl<S: LogSink> IncrementalFlit<S> {
             head_hop: route_off,
             delivered: None,
         });
-        let src = m.src.index();
-        let base = m.inject.ticks() + cfg.hop_latency();
-        let was_empty = ws.pending[src].is_empty();
-        for j in 0..flits {
-            let kind = if j == 0 {
-                Kind::Head
-            } else if j == flits - 1 {
-                Kind::Tail
-            } else {
-                Kind::Body
-            };
-            let avail = base + j * cfg.link_delay;
-            let entry = self.entered[src].max(avail);
-            self.entered[src] = entry;
-            // Heads are charged their router delay from the entry cycle —
-            // when they enter the reference's unbounded injection buffer —
-            // which decouples the charge from our *capped* injection
-            // buffers: a flit may sit in `pending` past its entry time
-            // waiting for a slot without perturbing any observable timing.
-            // Body and tail flits keep their raw availability.
-            let ready = if kind == Kind::Head { entry + cfg.router_delay } else { avail };
-            ws.pending[src].push_back((entry, Flit { worm: w, kind, ready, hop: route_off }));
-        }
-        // A nonempty queue already has its front's NI event scheduled (the
-        // standing invariant of `drain_ni`/`move_flit`); an empty one needs
-        // the new front announced.
-        if was_empty {
-            let e = ws.pending[src].front().expect("flits just queued").0;
-            ws.ni_events.push(Reverse((e, src as u32)));
-            ws.ni_sched[src] = e;
-        }
-        self.committed.remaining += 1;
         w
+    }
+
+    /// Queues worm `w` on the committed state (see [`queue_flits`]).
+    fn add_worm(&mut self, w: u32) {
+        let src = self.committed.ws.worms[w as usize].msg.src.index();
+        queue_flits(&self.cfg, &mut self.committed.ws, w, &mut self.entered[src]);
+        self.committed.remaining += 1;
     }
 
     /// Releases the claims of every live worm the committed state has
@@ -1361,6 +1585,86 @@ impl<S: LogSink> IncrementalFlit<S> {
         isolated
     }
 
+    /// Keeps the isolated worm `w` out of the simulation as a ghost (see
+    /// the type docs), delivered at `delivered` unless a later send
+    /// touches it first.
+    fn add_ghost(&mut self, w: u32, delivered: u64) {
+        let cfg = &self.cfg;
+        let m = self.committed.ws.worms[w as usize].msg;
+        // The source NI is idle (this worm is its only claimant), so every
+        // flit enters at its availability and the tail's is the new
+        // prefix max.
+        let base = m.inject.ticks() + cfg.hop_latency();
+        debug_assert!(self.entered[m.src.index()] < base, "an isolated worm's NI is busy");
+        self.entered[m.src.index()] = base + (cfg.flits_for(m.bytes) - 1) * cfg.link_delay;
+        for r in footprint(cfg, &self.committed.ws, w) {
+            self.ghost_of[r] = w;
+        }
+        self.ghosts.push((w, delivered));
+        self.paths.ghosts += 1;
+    }
+
+    /// Resolves in closed form every ghost whose tail ejection (one link
+    /// before its delivery) lies below `horizon`: the committed state
+    /// would have processed it by now, and nothing touched it before.
+    fn resolve_ghosts(&mut self, horizon: u64) {
+        let (cfg, ws, ghost_of) = (&self.cfg, &mut self.committed.ws, &mut self.ghost_of);
+        self.ghosts.retain(|&(g, delivered)| {
+            if delivered - cfg.link_delay >= horizon {
+                return true;
+            }
+            resolve_ghost(cfg, ws, g, delivered);
+            footprint(cfg, ws, g).for_each(|r| ghost_of[r] = NO_GHOST);
+            false
+        });
+    }
+
+    /// Puts ghost `g` into the committed state as it would stand had it
+    /// been simulated all along: replays it alone from its injection
+    /// through every cycle below `horizon` in the private replay
+    /// workspace, seeded with the committed state of its route outputs,
+    /// then moves its footprint's state over (see
+    /// [`Workspace::absorb`]). Nothing else touched the footprint, so the
+    /// lone replay is the committed trajectory.
+    fn materialize(&mut self, g: u32, horizon: u64) -> Result<(), EngineError> {
+        let Some(i) = self.ghosts.iter().position(|&(w, _)| w == g) else {
+            return Ok(()); // already materialized through another resource
+        };
+        self.ghosts.swap_remove(i);
+        let cfg = self.cfg;
+        let c = &mut self.committed;
+        let fp: Vec<usize> = footprint(&cfg, &c.ws, g).collect();
+        for &r in &fp {
+            self.ghost_of[r] = NO_GHOST;
+        }
+        let outs = &fp[1..];
+        let rp = self.replay.get_or_insert_with(|| Workspace::new(&cfg));
+        let worm = c.ws.worms[g as usize];
+        let route = worm.route_off as usize..(worm.route_off + worm.route_len) as usize;
+        rp.routes.extend_from_slice(&c.ws.routes[route]);
+        rp.worms.push(Worm { route_off: 0, head_hop: 0, ..worm });
+        for &o in outs {
+            rp.rr[o] = c.ws.rr[o];
+            rp.vc_rr[o] = c.ws.vc_rr[o];
+            rp.busy_until[o] = c.ws.busy_until[o];
+        }
+        // The source NI was idle, so every flit entered at its
+        // availability (see `add_ghost`).
+        queue_flits(&cfg, rp, 0, &mut 0);
+        let clock = Engine::serial(&cfg, rp, 1).advance(None, Goal::Before(horizon))?;
+        debug_assert!(rp.worms[0].delivered.is_none(), "a materialized ghost was delivered");
+        c.ws.absorb(rp, &cfg, outs, g, worm.route_off);
+        c.clock = c.clock.max(clock);
+        c.remaining += 1;
+        self.paths.materialized += 1;
+        Ok(())
+    }
+
+    /// How the sends so far were answered.
+    pub fn send_paths(&self) -> SendPaths {
+        self.paths
+    }
+
     /// Promotes the speculation (with no further sends it is
     /// unconditionally the true trajectory), drains every worm, emits one
     /// record per message in injection order (what the reference produces
@@ -1382,6 +1686,8 @@ impl<S: LogSink> IncrementalFlit<S> {
         if let Some(Spec::Live(spec)) = self.spec.take() {
             self.committed = spec;
         }
+        // No traffic follows: every ghost is delivered alone.
+        self.resolve_ghosts(u64::MAX);
         let cfg = self.cfg;
         let shards = shard::plan(self.sim_jobs, cfg.shape.height() as usize);
         if shards > 1 && self.committed.remaining > 0 {
@@ -1447,6 +1753,7 @@ impl<S: LogSink> NetEngine for IncrementalFlit<S> {
     /// exists.
     fn send(&mut self, m: NetMessage) -> Result<SimTime, EngineError> {
         EngineError::check_order(&mut self.last_inject, &m)?;
+        self.paths.sends += 1;
         // Cycles strictly below the horizon can no longer change: this
         // message's first flit cannot enter an NI before it, and neither
         // can any later message's.
@@ -1464,6 +1771,7 @@ impl<S: LogSink> NetEngine for IncrementalFlit<S> {
             None => LoopState::empty(),
         };
         Self::advance(&self.cfg, &mut self.committed, Goal::Before(horizon))?;
+        self.resolve_ghosts(horizon);
         // Committed deliveries are final — advance the watermark the
         // snapshot refresh skips below, and release the delivered worms'
         // claims.
@@ -1473,7 +1781,7 @@ impl<S: LogSink> NetEngine for IncrementalFlit<S> {
             self.committed.finalized += 1;
         }
         self.release_delivered();
-        let w = self.add_worm(m);
+        let w = self.push_worm(m);
         if self.claim(w, horizon) {
             // The stale buffer still grows its arenas in step with the
             // committed ones, as every refresh does, and frees its NI
@@ -1482,15 +1790,20 @@ impl<S: LogSink> NetEngine for IncrementalFlit<S> {
             scratch.ws.extend_arenas(&self.committed.ws);
             scratch.ws.pending = Vec::new();
             self.spec = Some(Spec::Stale(scratch));
-            #[cfg(test)]
-            {
-                self.isolated_sends += 1;
-            }
-            let hops = self.cfg.shape.hop_distance(m.src, m.dst);
-            return Ok(SimTime::from_ticks(
-                m.inject.ticks() + self.cfg.zero_load_latency(m.bytes, hops),
-            ));
+            let delivered = zero_load_delivery(&self.cfg, &m);
+            self.add_ghost(w, delivered);
+            return Ok(SimTime::from_ticks(delivered));
         }
+        // The new worm joins the simulation, and so must every ghost it
+        // touches, before it is queued or the speculation re-synced.
+        let touched: Vec<u32> = footprint(&self.cfg, &self.committed.ws, w)
+            .map(|r| self.ghost_of[r])
+            .filter(|&g| g != NO_GHOST)
+            .collect();
+        for g in touched {
+            self.materialize(g, horizon)?;
+        }
+        self.add_worm(w);
         scratch.sync_from(&self.committed);
         Self::advance(&self.cfg, &mut scratch, Goal::Deliver(w))?;
         let delivered = scratch.ws.worms[w as usize].delivered.expect("Deliver goal reached").get();
@@ -1516,11 +1829,17 @@ impl<S: LogSink> NetEngine for IncrementalFlit<S> {
     /// drains once — the same sink as sending each message and finishing.
     fn simulate(mut self, msgs: &[NetMessage]) -> Result<S, EngineError> {
         // Speculation is only a shortcut: the committed state holds final
-        // cycles alone, so new worms may be queued on it directly.
+        // cycles alone, so new worms may be queued on it directly once
+        // earlier sends' ghosts have joined it.
         self.spec = None;
+        let horizon = self.last_inject.ticks() + self.cfg.hop_latency();
+        while let Some(&(g, _)) = self.ghosts.first() {
+            self.materialize(g, horizon)?;
+        }
         for m in crate::engine::sorted(msgs) {
             EngineError::check_order(&mut self.last_inject, &m)?;
-            self.add_worm(m);
+            let w = self.push_worm(m);
+            self.add_worm(w);
         }
         self.drain()
     }
@@ -1531,7 +1850,7 @@ mod tests {
     use commchar_des::SimTime;
 
     use super::*;
-    use crate::OnlineWormhole;
+    use crate::{OnlineWormhole, Routing, Topology};
 
     fn msg(id: u64, src: u16, dst: u16, bytes: u32, inject: u64) -> NetMessage {
         NetMessage {
@@ -1647,14 +1966,128 @@ mod tests {
             let m = msg(i, (i % 16) as u16, ((i * 7 + 3) % 16) as u16, 64, i * 10_000);
             spaced.send(m).unwrap();
         }
-        assert_eq!(spaced.isolated_sends, 40);
+        assert_eq!(spaced.send_paths().ghosts, 40);
         // A same-source burst: each new worm queues behind the previous
         // one at the source NI, so only the opening send is alone.
         let mut burst = IncrementalFlit::new(cfg);
         for i in 0..20u64 {
             burst.send(msg(i, 5, ((i % 15 + 6) % 16) as u16, 64, i)).unwrap();
         }
-        assert_eq!(burst.isolated_sends, 1);
+        assert_eq!(burst.send_paths().ghosts, 1);
+    }
+
+    /// The closed-loop premise grid: every (topology × routing) cell at
+    /// the minimum and twice the minimum VC budget, link delays 1–3,
+    /// router delays 0–3 and buffers of 2, 3 and 8 flits.
+    fn premise_configs() -> Vec<MeshConfig> {
+        let mut cfgs = Vec::new();
+        for topology in [Topology::Mesh, Topology::Torus] {
+            for routing in [Routing::Dimension, Routing::Adaptive] {
+                let base = MeshConfig::for_nodes_net(16, topology, routing);
+                for vcs in [base.vc_classes(), base.vc_classes() * 2] {
+                    for link in 1..=3 {
+                        for router in 0..=3 {
+                            for buffer in [2, 3, 8] {
+                                cfgs.push(
+                                    base.with_virtual_channels(vcs)
+                                        .with_link_delay(link)
+                                        .with_router_delay(router)
+                                        .with_buffer_flits(buffer),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        cfgs
+    }
+
+    #[test]
+    fn closed_form_resolution_matches_a_lone_worm() {
+        // Resolving a ghost must leave exactly what simulating it alone
+        // leaves on every field a later worm or the report can observe,
+        // from a state whose round-robin pointers are not all zero.
+        let mut cases = 0;
+        for cfg in premise_configs() {
+            let vcs = cfg.virtual_channels;
+            let seeded = || {
+                let mut e = IncrementalFlit::new(cfg);
+                let ws = &mut e.committed.ws;
+                for o in 0..ws.rr.len() {
+                    ws.rr[o] = o * 7 % 5;
+                    ws.vc_rr[o] = (o * 3 + 1) % vcs;
+                }
+                e
+            };
+            for (src, dst) in [(0u16, 15u16), (5, 6), (12, 1), (3, 8)] {
+                for bytes in [1u32, 17, 200] {
+                    let m = msg(0, src, dst, bytes, 5);
+                    let mut sim = seeded();
+                    let w = sim.push_worm(m);
+                    sim.add_worm(w);
+                    IncrementalFlit::<NetLog>::advance(&cfg, &mut sim.committed, Goal::Drain)
+                        .unwrap();
+                    let mut ghost = seeded();
+                    let w = ghost.push_worm(m);
+                    let delivered = zero_load_delivery(&cfg, &m);
+                    resolve_ghost(&cfg, &mut ghost.committed.ws, w, delivered);
+
+                    let (a, b) = (&sim.committed.ws, &ghost.committed.ws);
+                    let label = format!("{cfg:?}: {src}->{dst} {bytes}B");
+                    let (wa, wb) = (a.worms[0], b.worms[0]);
+                    assert_eq!(wa.delivered, wb.delivered, "{label}");
+                    assert_eq!((wa.ejected, wa.head_hop), (wb.ejected, wb.head_hop), "{label}");
+                    assert_eq!(a.rr, b.rr, "{label}");
+                    assert_eq!(a.vc_rr, b.vc_rr, "{label}");
+                    assert_eq!(a.busy_ticks, b.busy_ticks, "{label}");
+                    assert_eq!(a.owners, b.owners, "{label}");
+                    // `busy_until` is exact at the ejection output; on a
+                    // transit output the true value is at most the tail's
+                    // ejection cycle, below the horizon of whichever send
+                    // resolves the ghost, so no later visit can see it.
+                    let outs: Vec<usize> = footprint(&cfg, a, 0).skip(1).collect();
+                    let (eject, transit) = outs.split_last().unwrap();
+                    assert_eq!(a.busy_until[*eject], b.busy_until[*eject], "{label}");
+                    for &o in transit {
+                        assert!(a.busy_until[o] <= delivered - cfg.link_delay, "{label}");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 288 * 12);
+    }
+
+    #[test]
+    fn a_crossed_ghost_is_materialized_mid_flight() {
+        // A long worm 0 -> 3 sets out alone; a short message 7 -> 3 needs
+        // its ejection output while it is still streaming, so
+        // the ghost must join the simulation where the committed state
+        // would hold it. Every answer and the final log match batch runs.
+        for cfg in [
+            MeshConfig::new(4, 4).with_virtual_channels(2),
+            MeshConfig::for_nodes_net(16, Topology::Torus, Routing::Adaptive),
+        ] {
+            let msgs = [
+                msg(0, 0, 3, 2048, 0),
+                msg(1, 9, 10, 64, 3),
+                msg(2, 7, 3, 16, 400),
+                msg(3, 12, 15, 64, 900),
+            ];
+            let mut engine = IncrementalFlit::new(cfg);
+            for (k, &m) in msgs.iter().enumerate() {
+                let d = engine.send(m).unwrap().ticks();
+                let prefix = IncrementalFlit::new(cfg).simulate(&msgs[..=k]).unwrap();
+                assert_eq!(d, prefix.records()[k].delivered, "{cfg:?}: send {k}");
+            }
+            let paths = engine.send_paths();
+            assert_eq!(paths, SendPaths { sends: 4, ghosts: 3, materialized: 1 }, "{cfg:?}");
+            let log = engine.finish();
+            let batch = IncrementalFlit::new(cfg).simulate(&msgs).unwrap();
+            assert_eq!(log.records(), batch.records(), "{cfg:?}");
+            assert_eq!(log.utilization(), batch.utilization(), "{cfg:?}");
+        }
     }
 
     #[test]

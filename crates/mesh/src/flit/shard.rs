@@ -374,18 +374,7 @@ fn merge_shards(ws: &mut Workspace, slots: &[ShardSlot]) {
 
 /// The serial engine's wedge report over the merged shard states.
 fn wedge_report_merged(cfg: &MeshConfig, ws: &mut Workspace, remaining: usize, t: u64) -> String {
-    let vcs = cfg.virtual_channels;
-    let engine = Engine {
-        cfg: *cfg,
-        vcs,
-        stride: NPORTS * vcs,
-        wheel: wheel_slots(cfg),
-        cap: cfg.buffer_flits.next_power_of_two(),
-        ws,
-        remaining,
-        shard: None,
-    };
-    engine.wedge_report(t)
+    Engine::serial(cfg, ws, remaining).wedge_report(t)
 }
 
 /// One shard's event loop: wavefront-synchronized cycles over the local

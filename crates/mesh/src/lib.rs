@@ -70,7 +70,7 @@ mod wormhole;
 
 pub use config::MeshConfig;
 pub use engine::{EngineError, EngineKind, NetEngine};
-pub use flit::IncrementalFlit;
+pub use flit::{IncrementalFlit, SendPaths};
 pub use flit_ref::FlitCycleReference;
 pub use log::{MsgRecord, NetLog, NetSummary};
 pub use sink::{LogSink, StreamingLog};

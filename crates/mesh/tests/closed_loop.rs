@@ -18,7 +18,7 @@
 use commchar_des::SimTime;
 use commchar_mesh::{
     EngineError, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole,
-    Routing, Topology,
+    Routing, SendPaths, Topology,
 };
 
 /// Deterministic 64-bit LCG (MMIX constants) — no external RNG crates.
@@ -89,7 +89,7 @@ fn zero_load_delivery(cfg: &MeshConfig, m: &NetMessage) -> u64 {
 /// injection time, the trait's contract), asserts every answer against the
 /// prefix oracle and the drained log byte-identical to a batch simulation
 /// of the same slice.
-fn assert_closed_loop_identical(cfg: MeshConfig, msgs: &[NetMessage], label: &str) {
+fn assert_closed_loop_identical(cfg: MeshConfig, msgs: &[NetMessage], label: &str) -> SendPaths {
     let batch = IncrementalFlit::new(cfg).simulate(msgs).unwrap_or_else(|e| panic!("{label}: {e}"));
 
     let mut sorted: Vec<NetMessage> = msgs.to_vec();
@@ -109,6 +109,7 @@ fn assert_closed_loop_identical(cfg: MeshConfig, msgs: &[NetMessage], label: &st
         assert_eq!(oracle.id, m.id, "{label}: prefix log out of injection order");
         assert_eq!(d, oracle.delivered, "{label}: send {k} (id {}) answered off the oracle", m.id);
     }
+    let paths = engine.send_paths();
     let log = engine.finish();
 
     assert_eq!(log.records().len(), batch.records().len(), "{label}: record count diverged");
@@ -116,6 +117,7 @@ fn assert_closed_loop_identical(cfg: MeshConfig, msgs: &[NetMessage], label: &st
         assert_eq!(a, b, "{label}: record diverged (id {})", b.id);
     }
     assert_eq!(log.utilization(), batch.utilization(), "{label}: utilization diverged");
+    paths
 }
 
 #[test]
@@ -231,6 +233,27 @@ fn closed_loop_matches_batch_on_sparse_traffic() {
                 let label = format!("sparse {topology} {routing} link={}", cfg.link_delay);
                 assert_closed_loop_identical(cfg, &msgs, &label);
             }
+        }
+    }
+}
+
+#[test]
+fn closed_loop_matches_batch_when_sends_cross_long_worms() {
+    // 2–4 KB worms stream for thousands of cycles, and injections a few
+    // hundred cycles apart land while earlier ones are mid-flight: some
+    // sends find their footprint free and become ghost worms, and later
+    // sends that cross a ghost before its delivery must materialize it.
+    for topology in [Topology::Mesh, Topology::Torus] {
+        for routing in [Routing::Dimension, Routing::Adaptive] {
+            let cfg = MeshConfig::for_nodes_net(16, topology, routing);
+            let mut msgs = workload(83, 16, 24, 900, 2048);
+            for m in &mut msgs {
+                m.bytes += 2047;
+            }
+            let label = format!("long worms {topology} {routing}");
+            let paths = assert_closed_loop_identical(cfg, &msgs, &label);
+            assert!(paths.ghosts > 0 && paths.materialized > 0, "{label}: {paths:?}");
+            assert!(paths.materialized < paths.ghosts, "{label}: {paths:?}");
         }
     }
 }

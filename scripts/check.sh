@@ -14,12 +14,13 @@
 # output captured before the NetEngine refactor, and --engine flit
 # byte-identical to tests/fixtures/engine_diff.replay.flit.txt, captured
 # before the batch flit path was folded into IncrementalFlit), a
-# closed-loop flit smoke (a shared-memory app characterized with
-# --engine flit, so every send's latency feeds back into the machine,
-# must print byte-identically to
+# closed-loop flit smoke (a shared-memory app and a message-passing app
+# characterized with --engine flit, so every send's latency feeds back
+# into the machine or the causal replay, must print byte-identically to
 # tests/fixtures/characterize.is.flit.txt, captured before isolated
-# sends were answered at zero load instead of by speculation), a
-# streaming smoke
+# sends were answered at zero load instead of by speculation, and to
+# tests/fixtures/characterize.3d-fft.flit.txt, captured before isolated
+# worms were kept out of the simulation as ghosts), a streaming smoke
 # (a packed trace with a deliberately small block budget characterized
 # out-of-core with --stream must print byte-identically to the in-memory
 # --no-replay pass over the same events), a sharded-simulator smoke
@@ -105,9 +106,11 @@ diff tests/fixtures/engine_diff.replay.txt "$tmpdir/replay.rec.txt"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit >"$tmpdir/replay.flit.txt"
 diff tests/fixtures/engine_diff.replay.flit.txt "$tmpdir/replay.flit.txt"
 
-echo "==> closed-loop flit smoke (characterize is --engine flit vs fixture)"
+echo "==> closed-loop flit smoke (characterize is / 3d-fft --engine flit vs fixtures)"
 cargo run --release -q -- characterize is --procs 8 --scale tiny --engine flit >"$tmpdir/is.flit.txt"
 diff tests/fixtures/characterize.is.flit.txt "$tmpdir/is.flit.txt"
+cargo run --release -q -- characterize 3d-fft --procs 8 --scale tiny --engine flit >"$tmpdir/fft.flit.txt"
+diff tests/fixtures/characterize.3d-fft.flit.txt "$tmpdir/fft.flit.txt"
 
 echo "==> sharded simulator smoke (--sim-jobs 4 vs --sim-jobs 1 diff)"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit --sim-jobs 1 >"$tmpdir/replay.s1.txt"

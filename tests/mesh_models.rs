@@ -110,3 +110,30 @@ fn flit_model_conserves_messages_on_app_trace() {
     assert_eq!(log.records().len(), msgs.len());
     log.check_invariants(mesh.shape).unwrap();
 }
+
+/// Experiment A8's fidelity claim as a gate: with the flit router in the
+/// closed loop, Nbody (8 processors, tiny scale) finishes at least 15%
+/// sooner than with the recurrence model (A8 measured 25,300 vs 31,789
+/// ticks) and sees a lower mean latency — the recurrence model's
+/// conservatism under contention dilates execution.
+#[test]
+fn flit_in_the_loop_undilates_nbody_as_in_a8() {
+    use commchar::apps::{AppId, Scale};
+    use commchar::core::run_workload_engine;
+    use commchar::mesh::EngineKind;
+
+    let rec = run_workload_engine(AppId::Nbody, 8, Scale::Tiny, EngineKind::Recurrence);
+    let flit = run_workload_engine(AppId::Nbody, 8, Scale::Tiny, EngineKind::flit());
+    assert!(
+        flit.exec_ticks as f64 <= 0.85 * rec.exec_ticks as f64,
+        "flit exec {} not 15% below recurrence {}",
+        flit.exec_ticks,
+        rec.exec_ticks
+    );
+    let (rec_lat, flit_lat) =
+        (rec.netlog.summary().mean_latency, flit.netlog.summary().mean_latency);
+    assert!(
+        flit_lat < rec_lat,
+        "flit mean latency {flit_lat:.1} not below recurrence {rec_lat:.1}"
+    );
+}
