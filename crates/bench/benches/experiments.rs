@@ -6,7 +6,7 @@
 use commchar_apps::AppId;
 use commchar_bench::{run_and_characterize, run_suite, ExpOptions};
 use commchar_core::synthesize;
-use commchar_mesh::{IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::{IncrementalFlit, MeshConfig, NetEngine, OnlineWormhole};
 use commchar_sp2::{run_mp, Sp2Config};
 use commchar_stats::linreg::fit_line;
 use commchar_traffic::patterns::uniform_poisson;
@@ -15,20 +15,6 @@ use std::hint::black_box;
 
 fn tiny() -> ExpOptions {
     ExpOptions { procs: 4, scale: commchar_apps::Scale::Tiny, jobs: 1 }
-}
-
-fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
-    trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect()
 }
 
 /// T1/T2/T3/F-IAT/F-SPAT/T-NET all reduce to: run the suite, characterize
@@ -99,7 +85,7 @@ fn exp_v1(c: &mut Criterion) {
             let span = w.netlog.summary().span.max(1);
             let model = synthesize(&sig, w.mesh);
             let synth = model.generate(span, 7);
-            let msgs = to_msgs(&synth);
+            let msgs = synth.net_messages();
             black_box(OnlineWormhole::new(w.mesh).simulate(&msgs).unwrap().summary())
         })
     });
@@ -112,7 +98,7 @@ fn exp_a1(c: &mut Criterion) {
     group.sample_size(10);
     let mesh = MeshConfig::for_nodes(8);
     let trace = uniform_poisson(8, 0.002, 32).generate(20_000, 5);
-    let msgs = to_msgs(&trace);
+    let msgs = trace.net_messages();
     group.bench_function("a1_model_crosscheck", |b| {
         b.iter(|| {
             let a = OnlineWormhole::new(mesh).simulate(black_box(&msgs)).unwrap().summary();

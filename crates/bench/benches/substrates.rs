@@ -4,7 +4,7 @@
 
 use commchar_apps::{AppId, Scale};
 use commchar_mesh::{
-    FlitCycleReference, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole,
+    FlitCycleReference, IncrementalFlit, MeshConfig, NetEngine, NetMessage, OnlineWormhole,
     StreamingLog,
 };
 use commchar_stats::fit::fit_best;
@@ -18,18 +18,9 @@ use std::hint::black_box;
 fn msgs_for(n: usize, count: usize) -> Vec<NetMessage> {
     let model = uniform_poisson(n, 0.002, 32);
     let trace = model.generate((count as f64 / (0.002 * n as f64)) as u64, 3);
-    trace
-        .events()
-        .iter()
-        .take(count)
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect()
+    let mut msgs = trace.net_messages();
+    msgs.truncate(count);
+    msgs
 }
 
 fn bench_mesh(c: &mut Criterion) {

@@ -4,24 +4,8 @@
 //! load levels.
 
 use commchar_core::report::table;
-use commchar_mesh::{
-    FlitCycleReference, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole,
-};
+use commchar_mesh::{FlitCycleReference, IncrementalFlit, MeshConfig, NetEngine, OnlineWormhole};
 use commchar_traffic::patterns::{bit_complement, hotspot, transpose, uniform_poisson};
-
-fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
-    trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect()
-}
 
 fn main() {
     println!("A1: OnlineWormhole vs FlitLevel model agreement\n");
@@ -36,7 +20,7 @@ fn main() {
             ("hotspot", hotspot(n, 0, 0.3, rate, 32)),
         ] {
             let trace = model.generate(60_000, 5);
-            let msgs = to_msgs(&trace);
+            let msgs = trace.net_messages();
             let online =
                 OnlineWormhole::new(mesh).simulate(&msgs).expect("batch simulation").summary();
             let flit_log = IncrementalFlit::new(mesh).simulate(&msgs).expect("flit simulation");

@@ -7,22 +7,8 @@
 use commchar_apps::AppId;
 use commchar_bench::{run_and_characterize, ExpOptions};
 use commchar_core::report::table;
-use commchar_mesh::{IncrementalFlit, NetEngine, NetMessage, NodeId};
+use commchar_mesh::{IncrementalFlit, NetEngine};
 use commchar_traffic::patterns::hotspot;
-
-fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
-    trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect()
-}
 
 fn main() {
     let opts = ExpOptions::from_env();
@@ -32,11 +18,11 @@ fn main() {
     // Synthetic hotspot at saturating load — where head-of-line blocking
     // dominates — plus bursty long-message traffic.
     let hot = hotspot(opts.procs, 0, 0.6, 0.01, 128);
-    let hot_msgs = to_msgs(&hot.generate(40_000, 3));
+    let hot_msgs = hot.generate(40_000, 3).net_messages();
 
     // Application traffic: the densest shared-memory trace.
     let (w, _) = run_and_characterize(AppId::Fft1d, opts);
-    let app_msgs = to_msgs(&w.trace);
+    let app_msgs = w.trace.net_messages();
 
     for (name, msgs) in [("hotspot(0.6) heavy", &hot_msgs), ("1d-fft trace", &app_msgs)] {
         for vcs in [1usize, 2, 4, 8] {

@@ -9,23 +9,7 @@
 
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::table;
-use commchar_mesh::{
-    IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId, Routing, Topology,
-};
-
-fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
-    trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect()
-}
+use commchar_mesh::{IncrementalFlit, MeshConfig, NetEngine, Routing, Topology};
 
 fn main() {
     let opts = ExpOptions::from_env();
@@ -43,7 +27,7 @@ fn main() {
         nets.iter().map(|&(t, r)| MeshConfig::for_nodes_net(opts.procs, t, r)).collect();
     let mut rows = Vec::new();
     for (w, sig) in run_suite(opts) {
-        let msgs = to_msgs(&w.trace);
+        let msgs = w.trace.net_messages();
         let sums: Vec<_> = cfgs
             .iter()
             .map(|&cfg| {

@@ -9,23 +9,13 @@ use commchar_analytic::AnalyticModel;
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::table;
 use commchar_core::synthesize;
-use commchar_mesh::{MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::MeshConfig;
+use commchar_trace::replay::CausalReplayer;
 use commchar_traffic::patterns::uniform_poisson;
 
 fn simulate(model: &commchar_traffic::TrafficModel, mesh: MeshConfig, span: u64) -> f64 {
     let trace = model.generate(span, 31);
-    let msgs: Vec<NetMessage> = trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect();
-    OnlineWormhole::new(mesh).simulate(&msgs).expect("batch simulation").summary().mean_latency
+    CausalReplayer::new(mesh).replay_naive(&trace).summary().mean_latency
 }
 
 fn main() {

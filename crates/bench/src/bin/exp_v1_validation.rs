@@ -8,27 +8,8 @@
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::table;
 use commchar_core::{synthesize, synthesize_phased};
-use commchar_mesh::{NetEngine, NetMessage, NodeId, OnlineWormhole};
-use commchar_trace::CommTrace;
+use commchar_trace::replay::CausalReplayer;
 use commchar_traffic::patterns::uniform_poisson;
-
-fn replay_open_loop(
-    trace: &CommTrace,
-    mesh: commchar_mesh::MeshConfig,
-) -> commchar_mesh::NetSummary {
-    let msgs: Vec<NetMessage> = trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect();
-    OnlineWormhole::new(mesh).simulate(&msgs).expect("batch simulation").summary()
-}
 
 fn main() {
     let opts = ExpOptions::from_env();
@@ -39,21 +20,22 @@ fn main() {
     let mut rows = Vec::new();
     for (w, sig) in run_suite(opts) {
         let span = w.netlog.summary().span.max(1);
-        let orig = replay_open_loop(&w.trace, w.mesh);
+        let naive = CausalReplayer::new(w.mesh);
+        let orig = naive.replay_naive(&w.trace).summary();
 
         let model = synthesize(&sig, w.mesh);
         let synth_trace = model.generate(span, 2024);
-        let synth = replay_open_loop(&synth_trace, w.mesh);
+        let synth = naive.replay_naive(&synth_trace).summary();
 
         // Phase-aware model (8 windows): captures burst structure.
         let phased_trace = synthesize_phased(&w, &sig, 8, 2024);
-        let phased = replay_open_loop(&phased_trace, w.mesh);
+        let phased = naive.replay_naive(&phased_trace).summary();
 
         // Rate- and size-matched uniform Poisson baseline.
         let rate = w.trace.len() as f64 / span as f64 / w.nprocs as f64;
         let uni_model =
             uniform_poisson(w.nprocs, rate.max(1e-9), sig.volume.mean_bytes.max(1.0) as u32);
-        let uni = replay_open_loop(&uni_model.generate(span, 77), w.mesh);
+        let uni = naive.replay_naive(&uni_model.generate(span, 77)).summary();
 
         let err = |x: f64| {
             if orig.mean_latency == 0.0 {

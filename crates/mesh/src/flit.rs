@@ -1689,7 +1689,9 @@ impl<S: LogSink> IncrementalFlit<S> {
         // No traffic follows: every ghost is delivered alone.
         self.resolve_ghosts(u64::MAX);
         let cfg = self.cfg;
-        let shards = shard::plan(self.sim_jobs, cfg.shape.height() as usize);
+        // A shard owns at least one full row, so `--sim-jobs` is capped at
+        // the row count; one shard is the serial engine.
+        let shards = commchar_pool::resolve_jobs_for(self.sim_jobs, cfg.shape.height() as usize);
         if shards > 1 && self.committed.remaining > 0 {
             let st = &mut self.committed;
             shard::drain_sharded(&cfg, &mut st.ws, st.clock, st.remaining, shards)?;

@@ -1,6 +1,7 @@
 //! Sharded wavefront drain: the flit event loop partitioned into
-//! row-contiguous node bands that run on a long-lived worker team while
-//! staying **cycle-identical** to the serial engine.
+//! row-contiguous node bands, one scoped worker each
+//! ([`commchar_pool::run_each`]), while staying **cycle-identical** to the
+//! serial engine.
 //!
 //! # Why row bands, and why a wavefront
 //!
@@ -83,26 +84,21 @@
 //! with all mailboxes empty while worms remain, the run is wedged —
 //! surfaced as [`EngineError::Wedged`] from the orchestrator with the
 //! serial per-worm report built over the merged shard states, never as a
-//! worker-thread abort.
+//! worker-thread abort. A shard that panics instead exits through its
+//! [`FenceGuard`], which raises the shared abort flag: its neighbors stop
+//! at their next termination check and the orchestrator rethrows the
+//! original panic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use commchar_pool::{Job, Team};
+use commchar_pool::{Backoff, FenceGuard};
 
 use super::{wheel_slots, Engine, Ev, Kind, Landing, ShardCtx, Workspace, NPORTS};
 use crate::engine::EngineError;
 use crate::{MeshConfig, Topology};
-
-/// Effective shard count for a `--sim-jobs` knob on a mesh with `rows`
-/// rows: resolved against hardware parallelism (`0` = one per hardware
-/// thread) and capped at the row count, since a shard must own at least
-/// one full row. `1` means the serial engine.
-pub(super) fn plan(sim_jobs: usize, rows: usize) -> usize {
-    commchar_pool::resolve_jobs_for(sim_jobs, rows)
-}
 
 /// An inbound boundary event: `(cycle, receive sequence, event)`. Ordered
 /// by cycle; the sequence only stabilizes the heap — same-cycle
@@ -148,6 +144,9 @@ struct Shared {
     /// `fence[s]`: every cycle `< fence[s]` is fully processed by shard
     /// `s` and its boundary events are flushed. `u64::MAX` once exited.
     fences: Vec<AtomicU64>,
+    /// Raised by a shard that panics; the others stop at their next
+    /// termination check.
+    abort: AtomicBool,
     /// Shards with no local and no inbound events (wedge detection).
     dry: Vec<AtomicBool>,
     /// Undelivered worms across all shards.
@@ -169,7 +168,7 @@ struct Shared {
     clock0: Option<u64>,
 }
 
-/// Drains a prepared workspace to completion on a team of `shards` workers
+/// Drains a prepared workspace to completion on `shards` scoped workers
 /// (from a batch start, `clock = None`, or from the last committed cycle
 /// of a closed-loop run), leaving merged per-worm deliveries and
 /// per-output busy ticks in `ws` exactly as the serial drain would.
@@ -183,17 +182,18 @@ pub(super) fn drain_sharded(
     debug_assert!(shards >= 2);
     let rows = cfg.shape.height() as usize;
     let width = cfg.shape.width() as usize;
-    let slots: Vec<Arc<Mutex<ShardSlot>>> = (0..shards)
+    let mut slots: Vec<ShardSlot> = (0..shards)
         .map(|s| {
             let lo = s * rows / shards * width;
             let hi = (s + 1) * rows / shards * width;
-            Arc::new(Mutex::new(split_shard(cfg, ws, lo, hi)))
+            split_shard(cfg, ws, lo, hi)
         })
         .collect();
-    let shared = Arc::new(Shared {
+    let shared = Shared {
         cfg: *cfg,
         shards,
         fences: (0..shards).map(|_| AtomicU64::new(clock.map_or(0, |c| c + 1))).collect(),
+        abort: AtomicBool::new(false),
         dry: (0..shards).map(|_| AtomicBool::new(false)).collect(),
         remaining: AtomicUsize::new(remaining),
         wedged: AtomicBool::new(false),
@@ -202,36 +202,15 @@ pub(super) fn drain_sharded(
         mail_pred: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         wrap: cfg.shape.topology() == Topology::Torus,
         clock0: clock,
-    });
+    };
+    commchar_pool::run_each(&mut slots, |s, slot| run_shard(s, &shared, slot));
 
-    let team = Team::new(shards);
-    let jobs: Vec<Job> = (0..shards)
-        .map(|s| {
-            let sh = Arc::clone(&shared);
-            let slot = Arc::clone(&slots[s]);
-            Box::new(move || {
-                let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
-                run_shard(s, &sh, &mut slot);
-            }) as Job
-        })
-        .collect();
-    team.run(jobs);
-
-    let slots: Vec<ShardSlot> = slots
-        .into_iter()
-        .map(|arc| {
-            Arc::try_unwrap(arc)
-                .unwrap_or_else(|_| unreachable!("workers joined at the team barrier"))
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-        })
-        .collect();
     let last_clock = slots.iter().filter_map(|s| s.clock).max().unwrap_or(0);
     merge_shards(ws, &slots);
 
     if shared.wedged.load(Ordering::Acquire) {
         let left = shared.remaining.load(Ordering::Acquire);
-        let report = wedge_report_merged(cfg, ws, left, last_clock);
+        let report = Engine::serial(cfg, ws, left).wedge_report(last_clock);
         let report = if shared.guard_tripped.load(Ordering::Acquire) {
             format!("flit simulation exceeded the per-shard step guard\n{report}")
         } else {
@@ -372,14 +351,12 @@ fn merge_shards(ws: &mut Workspace, slots: &[ShardSlot]) {
     }
 }
 
-/// The serial engine's wedge report over the merged shard states.
-fn wedge_report_merged(cfg: &MeshConfig, ws: &mut Workspace, remaining: usize, t: u64) -> String {
-    Engine::serial(cfg, ws, remaining).wedge_report(t)
-}
-
 /// One shard's event loop: wavefront-synchronized cycles over the local
-/// band, boundary events in and out, cooperative termination.
+/// band, boundary events in and out, cooperative termination. The fence
+/// guard publishes `u64::MAX` on any exit, so a neighbor is never left
+/// blocked on this shard's fence.
 fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
+    let _exit = FenceGuard::new(&sh.fences[s], &sh.abort);
     let cfg = sh.cfg;
     let vcs = cfg.virtual_channels;
     let wheel = wheel_slots(&cfg);
@@ -390,13 +367,9 @@ fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
     let mut seq = 0u64;
     let mut guard = 0u64;
     let mut is_dry = false;
-    let mut idle = 0u32;
-    let st = &mut *st;
+    let mut idle = Backoff::default();
 
     loop {
-        if sh.wedged.load(Ordering::Acquire) || sh.remaining.load(Ordering::Acquire) == 0 {
-            break;
-        }
         // The window: a numerically lower cyclic neighbor must have
         // finished `t` (its pops travel at label `t`), a higher one
         // `t - 1` (its events are labeled `t + 1` or later). On a mesh
@@ -423,6 +396,16 @@ fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
             let fr = if s + 1 == sh.shards { u64::MAX } else { fence(s + 1) };
             fl.saturating_sub(1).min(fr)
         };
+        // Checked after the fence reads: a neighbor that panicked raised
+        // the abort flag before publishing its exit fence, so a shard
+        // that read that fence also sees the flag here and never runs a
+        // window the dead neighbor no longer guards.
+        if sh.wedged.load(Ordering::Acquire)
+            || sh.abort.load(Ordering::Relaxed)
+            || sh.remaining.load(Ordering::Acquire) == 0
+        {
+            break;
+        }
 
         let mut got = false;
         if sh.wrap || s > 0 {
@@ -512,7 +495,7 @@ fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
                     sh.remaining.fetch_sub(delivered, Ordering::AcqRel);
                 }
                 sh.fences[s].store(t + 1, Ordering::Release);
-                idle = 0;
+                idle.reset();
             }
             _ => {
                 // No executable event in the window. Publish every cycle
@@ -542,17 +525,10 @@ fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
                         break;
                     }
                 }
-                idle += 1;
-                if idle < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                idle.snooze();
             }
         }
     }
-    // Never leave a neighbor blocked on this shard's fence.
-    sh.fences[s].store(u64::MAX, Ordering::Release);
     st.clock = clock;
 }
 

@@ -1,13 +1,20 @@
 //! # commchar-pool
 //!
-//! The one work-claiming fan-out primitive used everywhere the workspace
-//! parallelizes independent index-addressed work: suite cells
-//! (`commchar-core::suite`), packed-trace block decode
-//! (`commchar-tracestore`), and per-source distribution fitting
-//! (`commchar-core::characterize`).
+//! The workspace's two thread primitives, both scoped:
 //!
-//! The scheme is deliberately tiny — scoped threads, no dependencies, no
-//! unsafe:
+//! - [`run_indexed`], the work-claiming fan-out used everywhere the
+//!   workspace parallelizes independent index-addressed work: suite cells
+//!   (`commchar-core::suite`), packed-trace block decode
+//!   (`commchar-tracestore`), and per-source distribution fitting
+//!   (`commchar-core::characterize`);
+//! - [`run_each`], one thread per participant, all live at once, for
+//!   work whose participants wait on each other: the sharded flit router
+//!   (`commchar-mesh`), the sharded spasm machine (`commchar-spasm`) and
+//!   the connection workers of `commchar-serve`. Its waiters share
+//!   [`Backoff`]/[`spin_wait`] and exit through a [`FenceGuard`].
+//!
+//! The fan-out scheme is deliberately tiny — scoped threads, no
+//! dependencies, no unsafe:
 //!
 //! - workers claim indices `0..count` from a shared atomic cursor
 //!   (whichever worker is free takes the next item — cheap work stealing
@@ -29,9 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Resolves a `--jobs` knob: `0` means one worker per available hardware
 /// thread, anything else is taken literally.
@@ -107,164 +113,100 @@ where
         .collect()
 }
 
-/// A dispatched unit of work: boxed so a [`Team`]'s long-lived workers
-/// can run arbitrary closures without borrowing from the caller's stack.
-pub type Job = Box<dyn FnOnce() + Send>;
-
-struct TeamState {
-    /// Monotonic dispatch counter; bumping it wakes workers.
-    epoch: u64,
-    /// One slot per worker, filled at dispatch, taken by the worker.
-    jobs: Vec<Option<Job>>,
-    /// Workers that have not yet finished the current epoch.
-    remaining: usize,
-    /// First panic payload captured this epoch, rethrown by [`Team::run`].
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    shutdown: bool,
-}
-
-struct TeamShared {
-    state: Mutex<TeamState>,
-    /// Signaled when a new epoch's jobs are posted (or on shutdown).
-    work_ready: Condvar,
-    /// Signaled by the last worker to finish an epoch.
-    work_done: Condvar,
-}
-
-/// A long-lived worker team with barrier rendezvous, for callers that
-/// dispatch the *same* set of workers many times in a row (e.g. one
-/// simulation shard per worker, re-dispatched per drain) and cannot
-/// afford a thread spawn per round.
+/// Runs `f(i, &mut states[i])` for every state at once, one scoped thread
+/// per state, and returns when all have finished.
 ///
-/// Unlike [`run_indexed`] — which is fork-join and claims indices from a
-/// cursor — a `Team` assigns exactly one [`Job`] per worker per
-/// [`run`](Team::run) call and blocks the caller until every worker has
-/// finished. Jobs are `'static` closures; share state with the caller
-/// through `Arc`s captured at dispatch time.
+/// Unlike [`run_indexed`], which lets a few workers claim items one after
+/// another, every participant here is live at the same time: simulation
+/// shards spin on each other's fences, so a participant left waiting for
+/// a free worker would deadlock its siblings. A single state runs inline
+/// on the calling thread.
 ///
-/// A panic inside any job is caught on the worker (keeping the
-/// rendezvous alive so sibling workers and the team itself stay usable)
-/// and rethrown verbatim from `run` on the calling thread.
-pub struct Team {
-    shared: Arc<TeamShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Team {
-    /// Spawns a team of exactly `workers.max(1)` threads.
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(TeamShared {
-            state: Mutex::new(TeamState {
-                epoch: 0,
-                jobs: (0..workers).map(|_| None).collect(),
-                remaining: 0,
-                panic: None,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            work_done: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker(i, &shared))
-            })
+/// # Panics
+///
+/// After joining every thread, rethrows the first panic payload (in
+/// state order) unchanged. Participants that wait on a sibling should
+/// hold a [`FenceGuard`] so a panicking sibling releases them instead of
+/// hanging the join.
+pub fn run_each<S, F>(states: &mut [S], f: F)
+where
+    S: Send,
+    F: Fn(usize, &mut S) + Sync,
+{
+    if let [only] = states {
+        f(0, only);
+        return;
+    }
+    let f = &f;
+    let panic = std::thread::scope(|scope| {
+        let handles: Vec<_> = states
+            .iter_mut()
+            .enumerate()
+            .map(|(i, state)| scope.spawn(move || f(i, state)))
             .collect();
-        Team { shared, handles }
-    }
-
-    /// Spawns a team sized by [`resolve_jobs_for`]: the `jobs` knob
-    /// resolved against hardware parallelism, then capped at `items` so
-    /// no worker can ever sit idle by construction.
-    pub fn for_items(jobs: usize, items: usize) -> Self {
-        Self::new(resolve_jobs_for(jobs, items))
-    }
-
-    /// Number of worker threads in the team.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    fn worker(index: usize, shared: &TeamShared) {
-        let mut seen = 0u64;
-        loop {
-            let job = {
-                let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-                while !state.shutdown && state.epoch == seen {
-                    state = shared.work_ready.wait(state).unwrap_or_else(|e| e.into_inner());
-                }
-                if state.shutdown {
-                    return;
-                }
-                seen = state.epoch;
-                state.jobs[index].take()
-            };
-            let panicked =
-                job.and_then(|job| std::panic::catch_unwind(AssertUnwindSafe(job)).err());
-            let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(payload) = panicked {
-                state.panic.get_or_insert(payload);
-            }
-            state.remaining -= 1;
-            if state.remaining == 0 {
-                shared.work_done.notify_all();
-            }
-        }
-    }
-
-    /// Dispatches one job per worker and blocks until all have finished.
-    ///
-    /// Fewer jobs than workers is allowed (the surplus workers just
-    /// rendezvous); more jobs than workers is a caller bug and panics.
-    ///
-    /// # Panics
-    ///
-    /// Rethrows the first panic captured from any job, after the
-    /// barrier — the team itself remains usable afterwards.
-    pub fn run(&self, jobs: Vec<Job>) {
-        let workers = self.workers();
-        assert!(
-            jobs.len() <= workers,
-            "dispatched {} jobs to a team of {} workers",
-            jobs.len(),
-            workers
-        );
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert_eq!(state.remaining, 0, "run() while an epoch is in flight");
-        let mut it = jobs.into_iter();
-        for slot in state.jobs.iter_mut() {
-            *slot = it.next();
-        }
-        state.epoch += 1;
-        state.remaining = workers;
-        self.shared.work_ready.notify_all();
-        while state.remaining > 0 {
-            state = self.shared.work_done.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-        if let Some(payload) = state.panic.take() {
-            drop(state);
-            std::panic::resume_unwind(payload);
-        }
+        handles.into_iter().filter_map(|h| h.join().err()).reduce(|first, _| first)
+    });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
 }
 
-impl std::fmt::Debug for Team {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Team").field("workers", &self.workers()).finish()
+/// Spin-then-yield backoff for a thread waiting on a sibling's progress:
+/// the first 63 [`snooze`](Backoff::snooze)s spin, later ones yield the
+/// core.
+#[derive(Debug, Default)]
+pub struct Backoff(u32);
+
+impl Backoff {
+    /// Waits a little, longer the more often it has been called since the
+    /// last [`reset`](Backoff::reset).
+    pub fn snooze(&mut self) {
+        self.0 = self.0.saturating_add(1);
+        if self.0 < 64 {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Restarts the backoff after the waiter made progress.
+    pub fn reset(&mut self) {
+        self.0 = 0;
     }
 }
 
-impl Drop for Team {
+/// Waits with a [`Backoff`] until `probe` returns true.
+pub fn spin_wait(mut probe: impl FnMut() -> bool) {
+    let mut backoff = Backoff::default();
+    while !probe() {
+        backoff.snooze();
+    }
+}
+
+/// A participant's exit fence: when dropped, on a normal exit or during a
+/// panic alike, it publishes `u64::MAX` on `fence` so no sibling waits on
+/// a participant that is gone. On unwind it first raises `abort`, so a
+/// sibling that reads the final fence (with `Acquire`) also sees the
+/// abort and can stop instead of running on.
+#[derive(Debug)]
+pub struct FenceGuard<'a> {
+    fence: &'a AtomicU64,
+    abort: &'a AtomicBool,
+}
+
+impl<'a> FenceGuard<'a> {
+    /// Guards `fence`, raising `abort` if the holder unwinds.
+    pub fn new(fence: &'a AtomicU64, abort: &'a AtomicBool) -> Self {
+        FenceGuard { fence, abort }
+    }
+}
+
+impl Drop for FenceGuard<'_> {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.shutdown = true;
-            self.shared.work_ready.notify_all();
+        if std::thread::panicking() {
+            self.abort.store(true, Ordering::Relaxed);
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.fence.store(u64::MAX, Ordering::Release);
     }
 }
 
@@ -327,59 +269,45 @@ mod tests {
     }
 
     #[test]
-    fn team_caps_workers_at_item_count() {
-        let team = Team::for_items(16, 3);
-        assert_eq!(team.workers(), 3);
-        let team = Team::for_items(16, 1);
-        assert_eq!(team.workers(), 1);
-        let team = Team::for_items(0, 2);
-        assert!(team.workers() <= 2);
+    fn run_each_gives_every_participant_its_own_thread() {
+        // All participants must be live at once to pass the barrier.
+        let n = 4;
+        let barrier = std::sync::Barrier::new(n);
+        let mut states = vec![0usize; n];
+        run_each(&mut states, |i, s| {
+            barrier.wait();
+            *s = i + 1;
+        });
+        assert_eq!(states, vec![1, 2, 3, 4]);
     }
 
     #[test]
-    fn team_runs_jobs_across_epochs() {
-        use std::sync::atomic::AtomicU64;
-        let team = Team::new(3);
-        let total = Arc::new(AtomicU64::new(0));
-        for round in 0..5u64 {
-            let jobs: Vec<Job> = (0..3u64)
-                .map(|i| {
-                    let total = Arc::clone(&total);
-                    Box::new(move || {
-                        total.fetch_add(round * 10 + i, Ordering::Relaxed);
-                    }) as Job
-                })
-                .collect();
-            team.run(jobs);
-        }
-        // sum over rounds of (30*round + 3) = 30*10 + 15
-        assert_eq!(total.load(Ordering::Relaxed), 315);
+    fn run_each_runs_a_single_state_inline() {
+        let caller = std::thread::current().id();
+        let mut states = [None];
+        run_each(&mut states, |_, s| *s = Some(std::thread::current().id()));
+        assert_eq!(states[0], Some(caller));
     }
 
     #[test]
-    fn team_allows_fewer_jobs_than_workers() {
-        let team = Team::new(4);
-        let hit = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hit);
-        team.run(vec![Box::new(move || {
-            h.fetch_add(1, Ordering::Relaxed);
-        })]);
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn team_survives_a_panicking_job() {
-        let team = Team::new(2);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            team.run(vec![Box::new(|| panic!("job blew up"))]);
+    fn run_each_rethrows_a_panic_that_a_sibling_waits_on() {
+        let fences = [AtomicU64::new(0), AtomicU64::new(0)];
+        let abort = AtomicBool::new(false);
+        let mut states = [(), ()];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_each(&mut states, |i, _| {
+                let _guard = FenceGuard::new(&fences[i], &abort);
+                if i == 0 {
+                    panic!("participant 0 blew up");
+                }
+                // Participant 1 waits for a fence participant 0 never
+                // advances; only the guard's exit fence releases it.
+                spin_wait(|| fences[0].load(Ordering::Acquire) > 0);
+            });
         }));
-        assert!(caught.is_err());
-        // The team is still usable after the rethrow.
-        let ok = Arc::new(AtomicUsize::new(0));
-        let o = Arc::clone(&ok);
-        team.run(vec![Box::new(move || {
-            o.store(7, Ordering::Relaxed);
-        })]);
-        assert_eq!(ok.load(Ordering::Relaxed), 7);
+        let payload = caught.expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"participant 0 blew up"));
+        assert!(abort.load(Ordering::Relaxed), "an unwinding guard raises the abort flag");
+        assert!(fences.iter().all(|f| f.load(Ordering::Relaxed) == u64::MAX));
     }
 }

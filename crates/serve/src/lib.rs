@@ -21,8 +21,8 @@
 //!   CCTRACE1 blocks, and `TraceBlocks` payloads *are* CCTRACE1 block
 //!   payloads — a packed trace file can be replayed to the server
 //!   without re-encoding.
-//! - [`server`] — [`Server`]: sessions multiplexed over a
-//!   [`commchar_pool::Team`] of connection workers, bounded per-session
+//! - [`server`] — [`Server`]: sessions multiplexed over connection
+//!   workers started by [`commchar_pool::run_each`], bounded per-session
 //!   inboxes with explicit [`Backpressure`](ServeError::Backpressure)
 //!   frames, idle-session eviction, and atomic [`ServerStats`] counters.
 //! - [`client`] — [`ServeClient`]: a small blocking client used by the

@@ -3,8 +3,9 @@
 //!
 //! ## Architecture
 //!
-//! One nonblocking acceptor + `workers` long-lived connection workers
-//! dispatched as a single [`commchar_pool::Team`] epoch. Each worker owns
+//! One nonblocking acceptor + `workers` connection workers, one scoped
+//! thread each for the server's whole life ([`commchar_pool::run_each`];
+//! a single worker serves on the calling thread). Each worker owns
 //! a private set of connections (new sockets are claimed from a shared
 //! queue), sweeps them with nonblocking reads, parses complete frames via
 //! [`decode_frame`] and answers in place —
@@ -535,8 +536,8 @@ impl Server {
     /// [`ServerHandle::shutdown`] is called on a spawned server), then
     /// returns the final counters.
     ///
-    /// Connection work is multiplexed over a [`commchar_pool::Team`] of
-    /// [`ServeConfig::workers`] long-lived threads.
+    /// Connection work is multiplexed over [`ServeConfig::workers`]
+    /// threads started by [`commchar_pool::run_each`].
     ///
     /// # Panics
     ///
@@ -544,18 +545,10 @@ impl Server {
     pub fn run(self) -> ServerStats {
         self.listener.set_nonblocking(true).expect("nonblocking listener");
         let workers = commchar_pool::resolve_jobs(self.shared.cfg.workers);
-        let team = commchar_pool::Team::new(workers);
-        let listener = Arc::new(self.listener);
-        let pending: Arc<Mutex<VecDeque<TcpStream>>> = Arc::new(Mutex::new(VecDeque::new()));
-        let jobs: Vec<commchar_pool::Job> = (0..team.workers())
-            .map(|w| {
-                let shared = Arc::clone(&self.shared);
-                let listener = Arc::clone(&listener);
-                let pending = Arc::clone(&pending);
-                Box::new(move || worker_loop(w, &shared, &listener, &pending)) as commchar_pool::Job
-            })
-            .collect();
-        team.run(jobs);
+        let pending: Mutex<VecDeque<TcpStream>> = Mutex::new(VecDeque::new());
+        commchar_pool::run_each(&mut vec![(); workers], |w, _| {
+            worker_loop(w, &self.shared, &self.listener, &pending)
+        });
         self.shared.stats()
     }
 

@@ -1,8 +1,9 @@
 //! Conservative-window sharded execution of the spasm machine.
 //!
 //! The machine (processor state, caches, the directory, and the event
-//! calendar) is partitioned into source-contiguous shards, one long-lived
-//! [`commchar_pool::Team`] worker per shard. Each worker runs the serial
+//! calendar) is partitioned into source-contiguous shards, one scoped
+//! worker per shard for the whole run ([`commchar_pool::run_each`]; a
+//! single shard runs inline on the caller). Each worker runs the serial
 //! event loop inside a conservative time window `[T, T + L)` whose width
 //! `L` is the network engine's minimum delivery latency
 //! ([`NetEngine::min_latency`]): an event less than `L` ahead of the
@@ -36,6 +37,7 @@ use std::sync::Arc;
 
 use commchar_des::{KeyedCalendar, SimTime};
 use commchar_mesh::{NetEngine, NetLog, NetMessage, NodeId};
+use commchar_pool::{spin_wait, FenceGuard};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
@@ -185,14 +187,6 @@ struct ShardStats {
     lock_grants: u64,
 }
 
-/// A shard's verdict at normal drain.
-struct ShardDone {
-    stats: ShardStats,
-    /// One status line per owned processor.
-    report: String,
-    all_done: bool,
-}
-
 const STOP_RUNNING: u8 = 0;
 const STOP_DRAINED: u8 = 1;
 const STOP_FAILED: u8 = 2;
@@ -218,9 +212,6 @@ pub(crate) struct Shared {
     /// Set when any worker unwinds; everyone else bails at the next edge.
     abort: AtomicBool,
     failure: Mutex<Option<SpasmError>>,
-    verdicts: Vec<Mutex<Option<ShardDone>>>,
-    /// The coordinator's run products at normal drain.
-    out: Mutex<Option<(CommTrace, NetLog)>>,
 }
 
 impl Shared {
@@ -236,36 +227,6 @@ impl Shared {
             outbox: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             abort: AtomicBool::new(false),
             failure: Mutex::new(None),
-            verdicts: (0..shards).map(|_| Mutex::new(None)).collect(),
-            out: Mutex::new(None),
-        }
-    }
-}
-
-/// Publishes an exit fence even on unwind, so a panicking worker never
-/// leaves its neighbors spinning on a fence that will not move.
-struct FenceGuard<'a> {
-    shared: &'a Shared,
-    shard: usize,
-}
-
-impl Drop for FenceGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shared.abort.store(true, Ordering::Relaxed);
-        }
-        self.shared.fences[self.shard].store(u64::MAX, Ordering::Release);
-    }
-}
-
-fn spin_wait(mut probe: impl FnMut() -> bool) {
-    let mut spins = 0u32;
-    while !probe() {
-        spins += 1;
-        if spins < 64 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
         }
     }
 }
@@ -1039,15 +1000,16 @@ fn coordinate<N: NetEngine<Sink = NetLog>>(
 }
 
 /// The body of one shard worker. Shard 0's worker doubles as the
-/// coordinator, owning the network engine and the trace.
-pub(crate) fn run_worker<N: NetEngine<Sink = NetLog>>(
-    mut core: ShardCore,
-    shared: Arc<Shared>,
-    mut coord: Option<Coord<N>>,
-    shard_of: Arc<Vec<u32>>,
+/// coordinator, owning the network engine and the trace. The fence guard
+/// publishes the exit fence on any exit, so nobody waits on a dead shard.
+fn run_worker<N: NetEngine<Sink = NetLog>>(
+    core: &mut ShardCore,
+    mut coord: Option<&mut Coord<N>>,
+    shared: &Shared,
+    shard_of: &[u32],
     lookahead: u64,
 ) {
-    let guard = FenceGuard { shared: &shared, shard: core.shard };
+    let _exit = FenceGuard::new(&shared.fences[core.shard], &shared.abort);
     let mut round: u64 = 0;
     loop {
         spin_wait(|| {
@@ -1088,19 +1050,10 @@ pub(crate) fn run_worker<N: NetEngine<Sink = NetLog>>(
             }
         }
         shared.fences[core.shard].store(round + 1, Ordering::Release);
-        if let Some(co) = coord.as_mut() {
-            coordinate(co, &shared, &shard_of, round);
+        if let Some(co) = coord.as_deref_mut() {
+            coordinate(co, shared, shard_of, round);
         }
         round += 1;
-    }
-    drop(guard);
-    if shared.stop.load(Ordering::Relaxed) == STOP_DRAINED {
-        let all_done = core.status.iter().all(|&s| s == Status::Done);
-        *shared.verdicts[core.shard].lock() =
-            Some(ShardDone { stats: core.stats, report: core.status_report(), all_done });
-        if let Some(co) = coord {
-            *shared.out.lock() = Some((co.trace, co.net.finish()));
-        }
     }
 }
 
@@ -1118,65 +1071,52 @@ pub(crate) struct Drained {
     pub locks: u64,
 }
 
-/// Drives `shards` workers over the partitioned machine and merges their
-/// verdicts. Uses one long-lived `Team` epoch for the whole simulation
-/// when `shards > 1`; a single shard runs the identical windowed loop
-/// inline.
+/// Drives one worker per shard core over the partitioned machine and
+/// merges their results. The cores drop before this returns, so on an
+/// error the processor threads blocked on their reply channels die.
 pub(crate) fn drive<N>(
     cfg: MachineConfig,
     cores: Vec<ShardCore>,
     net: N,
 ) -> Result<Drained, SpasmError>
 where
-    N: NetEngine<Sink = NetLog> + Send + 'static,
+    N: NetEngine<Sink = NetLog> + Send,
 {
-    let shards = cores.len();
-    let shared = Arc::new(Shared::new(shards));
-    let plan = partition(cfg.nprocs, shards);
+    let shared = Shared::new(cores.len());
     let mut shard_of = vec![0u32; cfg.nprocs];
-    for (s, &(lo, hi)) in plan.iter().enumerate() {
-        shard_of[lo..hi].fill(s as u32);
+    for core in &cores {
+        shard_of[core.lo..core.hi].fill(core.shard as u32);
     }
-    let shard_of = Arc::new(shard_of);
     let coord = Coord::new(net, cfg.nprocs);
     let lookahead = coord.lookahead();
-    if shards == 1 {
-        let core = cores.into_iter().next().expect("one shard");
-        run_worker(core, Arc::clone(&shared), Some(coord), Arc::clone(&shard_of), lookahead);
-    } else {
-        let team = commchar_pool::Team::new(shards);
-        let mut jobs: Vec<commchar_pool::Job> = Vec::with_capacity(shards);
-        let mut coord = Some(coord);
-        for core in cores {
-            let shared = Arc::clone(&shared);
-            let shard_of = Arc::clone(&shard_of);
-            let co = if core.shard == 0 { coord.take() } else { None };
-            jobs.push(Box::new(move || run_worker(core, shared, co, shard_of, lookahead)));
-        }
-        // One epoch spans the entire simulation: the workers live across
-        // every window, rendezvousing on fences rather than re-spawning.
-        team.run(jobs);
-    }
+    // Cores arrive in shard order: the first takes the coordinator.
+    let mut coord = Some(coord);
+    let mut states: Vec<(ShardCore, Option<Coord<N>>)> =
+        cores.into_iter().map(|core| (core, coord.take())).collect();
+    // One worker per shard spans the entire simulation, rendezvousing on
+    // fences at every window edge.
+    commchar_pool::run_each(&mut states, |_, (core, co)| {
+        run_worker(core, co.as_mut(), &shared, &shard_of, lookahead)
+    });
     if let Some(err) = shared.failure.lock().take() {
         return Err(err);
     }
+    debug_assert_eq!(shared.stop.load(Ordering::Relaxed), STOP_DRAINED);
+    let co = states[0].1.take().expect("shard 0 coordinates");
+    let (trace, netlog) = (co.trace, co.net.finish());
     let mut stats = ShardStats::default();
     let mut report = String::new();
-    let mut all_done = true;
-    for v in &shared.verdicts {
-        let v = v.lock();
-        let v = v.as_ref().expect("drained shard left no verdict");
-        stats.max_time = stats.max_time.max(v.stats.max_time);
-        stats.reads += v.stats.reads;
-        stats.writes += v.stats.writes;
-        stats.hits += v.stats.hits;
-        stats.misses += v.stats.misses;
-        stats.barrier_episodes += v.stats.barrier_episodes;
-        stats.lock_grants += v.stats.lock_grants;
-        report.push_str(&v.report);
-        all_done &= v.all_done;
+    for (core, _) in &states {
+        stats.max_time = stats.max_time.max(core.stats.max_time);
+        stats.reads += core.stats.reads;
+        stats.writes += core.stats.writes;
+        stats.hits += core.stats.hits;
+        stats.misses += core.stats.misses;
+        stats.barrier_episodes += core.stats.barrier_episodes;
+        stats.lock_grants += core.stats.lock_grants;
+        report.push_str(&core.status_report());
     }
-    if !all_done {
+    if !states.iter().all(|(core, _)| core.status.iter().all(|&s| s == Status::Done)) {
         return Err(SpasmError::Wedged {
             report: format!(
                 "application deadlock: simulation drained with blocked processors\n\
@@ -1184,7 +1124,6 @@ where
             ),
         });
     }
-    let (trace, netlog) = shared.out.lock().take().expect("drained run left no trace");
     Ok(Drained {
         trace,
         netlog,

@@ -131,6 +131,21 @@ impl CommTrace {
         &self.events
     }
 
+    /// The events as network messages injected at their recorded times,
+    /// in trace order: the input of an open-loop (naive) replay.
+    pub fn net_messages(&self) -> Vec<commchar_mesh::NetMessage> {
+        self.events
+            .iter()
+            .map(|e| commchar_mesh::NetMessage {
+                id: e.id,
+                src: commchar_mesh::NodeId(e.src),
+                dst: commchar_mesh::NodeId(e.dst),
+                bytes: e.bytes,
+                inject: commchar_des::SimTime::from_ticks(e.t),
+            })
+            .collect()
+    }
+
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()

@@ -276,18 +276,9 @@ impl CausalReplayer {
     /// feedback, no causality). Useful to quantify the distortion the
     /// causal replayer removes.
     pub fn replay_naive(&self, trace: &CommTrace) -> NetLog {
-        let msgs: Vec<NetMessage> = trace
-            .events()
-            .iter()
-            .map(|e| NetMessage {
-                id: e.id,
-                src: NodeId(e.src),
-                dst: NodeId(e.dst),
-                bytes: e.bytes,
-                inject: SimTime::from_ticks(e.t),
-            })
-            .collect();
-        OnlineWormhole::new(self.cfg).simulate(&msgs).unwrap_or_else(|e| panic!("{e}"))
+        OnlineWormhole::new(self.cfg)
+            .simulate(&trace.net_messages())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

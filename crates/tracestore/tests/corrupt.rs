@@ -1,7 +1,7 @@
 //! Corrupt-input hardening: every malformed-file shape must surface as a
 //! typed [`TraceStoreError`] — never a panic.
 
-use commchar_mesh::{MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::{MeshConfig, NetEngine, OnlineWormhole};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::{
     load_trace, pack_netlog, pack_trace, unpack_netlog, unpack_trace, unpack_trace_parallel,
@@ -133,18 +133,8 @@ fn parallel_decode_reports_corruption_too() {
 #[test]
 fn wrong_stream_kind_is_rejected() {
     let trace = sample_trace();
-    let msgs: Vec<NetMessage> = trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect();
-    let log = OnlineWormhole::new(MeshConfig::for_nodes(8)).simulate(&msgs).unwrap();
+    let log =
+        OnlineWormhole::new(MeshConfig::for_nodes(8)).simulate(&trace.net_messages()).unwrap();
     let packed_log = pack_netlog(&log);
     // Events API over a netlog stream (and vice versa) errors cleanly.
     assert!(matches!(unpack_trace(&packed_log), Err(TraceStoreError::Corrupt(_))));

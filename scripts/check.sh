@@ -97,7 +97,7 @@ diff "$tmpdir/sig.j1.txt" "$tmpdir/sig.j4.txt"
 echo "==> streaming smoke (--stream vs --no-replay diff, small blocks)"
 cargo run --release -q -- trace pack "$tmpdir/t.jsonl" --block-len 7 --out "$tmpdir/t.small.cct"
 cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --no-replay >"$tmpdir/sig.batch.txt"
-cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --stream --block-jobs 3 >"$tmpdir/sig.stream.txt"
+cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --stream --jobs 3 >"$tmpdir/sig.stream.txt"
 diff "$tmpdir/sig.batch.txt" "$tmpdir/sig.stream.txt"
 
 echo "==> engine diff smoke (--engine recurrence and --engine flit vs fixtures)"

@@ -234,23 +234,19 @@ pub fn cmd_characterize_trace_only(input: &[u8], jobs: usize) -> Result<String, 
     Ok(analysis_report(&a, "trace"))
 }
 
-/// `commchar characterize --trace FILE --stream [--jobs N] [--block-jobs
-/// N]`: out-of-core analysis of a *packed* trace file. Blocks are read
-/// and condensed on `block_jobs` workers and folded in file order, so
-/// memory stays bounded by the block size × worker count — the trace is
-/// never materialized. The report is byte-identical to
+/// `commchar characterize --trace FILE --stream [--jobs N]`: out-of-core
+/// analysis of a *packed* trace file. Blocks are read and condensed on
+/// `jobs` workers and folded in file order, so memory stays bounded by
+/// the block size × worker count — the trace is never materialized.
+/// Decoding finishes before fitting starts, so the same `jobs` budget
+/// then serves the per-source fits. The report is byte-identical to
 /// [`cmd_characterize_trace_only`] on the same events (and, like it,
 /// omits the network-behaviour section, which would need an O(events)
 /// replay).
-pub fn cmd_characterize_stream(
-    path: &str,
-    jobs: usize,
-    block_jobs: usize,
-) -> Result<String, CliError> {
+pub fn cmd_characterize_stream(path: &str, jobs: usize) -> Result<String, CliError> {
     let reader = FileReader::open(path)?;
     let shape = MeshConfig::for_nodes(reader.nodes()).shape;
-    let a = try_analyze_blocks(&reader, shape, jobs, block_jobs)
-        .map_err(|e| CliError(e.to_string()))?;
+    let a = try_analyze_blocks(&reader, shape, jobs, jobs).map_err(|e| CliError(e.to_string()))?;
     Ok(analysis_report(&a, "trace"))
 }
 
@@ -613,7 +609,7 @@ COMMANDS:
     characterize --trace FILE --stream
                                   same report, computed block-by-block from a
                                   packed file in constant memory (out-of-core;
-                                  accepts --block-jobs for parallel decoding)
+                                  --jobs also sets the block-decoding threads)
     generate <app> [--out FILE]   emit a synthetic trace from the fitted model
     replay --trace FILE           replay a saved trace (causal vs naive)
     suite                         characterize every application in parallel, plus
@@ -645,9 +641,10 @@ OPTIONS:
     --procs N       processor count (default 8)
     --scale S       tiny | small | full (default small)
     --seed N        generation seed (default 42)
-    --jobs N        worker threads for suite cells and per-source distribution
-                    fits; 0 = one per hardware thread (default 0). Output is
-                    byte-identical for any value; only wall-clock changes.
+    --jobs N        worker threads for suite cells, per-source distribution
+                    fits and --stream block decoding; 0 = one per hardware
+                    thread (default 0). Output is byte-identical for any
+                    value; only wall-clock changes.
     --engine E      closed-loop network engine: recurrence (channel-recurrence
                     wormhole model, default) or flit (cycle-accurate flit-level
                     router run incrementally). The recurrence default keeps
@@ -673,8 +670,6 @@ OPTIONS:
     --streaming     replay with online statistics only (constant memory)
     --stream        characterize a packed trace block-by-block (constant memory)
     --no-replay     characterize without the network-behaviour section
-    --block-jobs N  worker threads decoding blocks under --stream; 0 = one per
-                    hardware thread (default 0). Byte-identical for any value.
     --block-len N   events per block for trace pack / --packed output
                     (default 4096)
     --packed        write run/generate trace output in the packed binary format
@@ -852,7 +847,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("commchar-cli-stream-{}.cct", std::process::id()));
         std::fs::write(&path, &packed).unwrap();
-        let streamed = cmd_characterize_stream(path.to_str().unwrap(), 3, 2);
+        let streamed = cmd_characterize_stream(path.to_str().unwrap(), 3);
         std::fs::remove_file(&path).unwrap();
         assert_eq!(batch, streamed.unwrap());
     }

@@ -11,7 +11,6 @@ struct Args {
     trace: Option<String>,
     jobs: usize,
     sim_jobs: Option<usize>,
-    block_jobs: usize,
     block_len: usize,
     streaming: bool,
     stream: bool,
@@ -26,6 +25,17 @@ struct Args {
     help: bool,
 }
 
+/// The value after an integer flag: `--X needs a value` when it is
+/// missing, `--X needs an integer` (plus `unit`, if any) when malformed.
+fn int<'a, T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    unit: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag} needs an integer{unit}"))
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         positional: Vec::new(),
@@ -34,7 +44,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace: None,
         jobs: 0,
         sim_jobs: None,
-        block_jobs: 0,
         block_len: 0,
         streaming: false,
         stream: false,
@@ -51,46 +60,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|_| "--jobs needs an integer")?;
-            }
-            "--sim-jobs" => {
-                args.sim_jobs = Some(
-                    it.next()
-                        .ok_or("--sim-jobs needs a value")?
-                        .parse()
-                        .map_err(|_| "--sim-jobs needs an integer")?,
-                );
-            }
-            "--block-jobs" => {
-                args.block_jobs = it
-                    .next()
-                    .ok_or("--block-jobs needs a value")?
-                    .parse()
-                    .map_err(|_| "--block-jobs needs an integer")?;
-            }
-            "--block-len" => {
-                args.block_len = it
-                    .next()
-                    .ok_or("--block-len needs a value")?
-                    .parse()
-                    .map_err(|_| "--block-len needs an integer")?;
-            }
+            "--jobs" => args.jobs = int(&mut it, a, "")?,
+            "--sim-jobs" => args.sim_jobs = Some(int(&mut it, a, "")?),
+            "--block-len" => args.block_len = int(&mut it, a, "")?,
             "--streaming" => args.streaming = true,
             "--stream" => args.stream = true,
             "--no-replay" => args.no_replay = true,
             "--packed" => args.packed = true,
-            "--procs" => {
-                args.common.procs = it
-                    .next()
-                    .ok_or("--procs needs a value")?
-                    .parse()
-                    .map_err(|_| "--procs needs an integer")?;
-            }
+            "--procs" => args.common.procs = int(&mut it, a, "")?,
             "--scale" => {
                 args.common.scale =
                     cli::parse_scale(it.next().ok_or("--scale needs a value")?).map_err(|e| e.0)?;
@@ -109,44 +86,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     cli::parse_routing(it.next().ok_or("--routing needs a value")?)
                         .map_err(|e| e.0)?;
             }
-            "--seed" => {
-                args.common.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer")?;
-            }
+            "--seed" => args.common.seed = int(&mut it, a, "")?,
             "--addr" => {
                 args.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone();
             }
-            "--serve-workers" => {
-                args.serve_workers = it
-                    .next()
-                    .ok_or("--serve-workers needs a value")?
-                    .parse()
-                    .map_err(|_| "--serve-workers needs an integer")?;
-            }
-            "--session-buffer" => {
-                args.session_buffer = it
-                    .next()
-                    .ok_or("--session-buffer needs a value")?
-                    .parse()
-                    .map_err(|_| "--session-buffer needs an integer (bytes)")?;
-            }
-            "--idle-timeout" => {
-                args.idle_timeout = it
-                    .next()
-                    .ok_or("--idle-timeout needs a value")?
-                    .parse()
-                    .map_err(|_| "--idle-timeout needs an integer (seconds)")?;
-            }
-            "--poll-every" => {
-                args.poll_every = it
-                    .next()
-                    .ok_or("--poll-every needs a value")?
-                    .parse()
-                    .map_err(|_| "--poll-every needs an integer")?;
-            }
+            "--serve-workers" => args.serve_workers = int(&mut it, a, "")?,
+            "--session-buffer" => args.session_buffer = int(&mut it, a, " (bytes)")?,
+            "--idle-timeout" => args.idle_timeout = int(&mut it, a, " (seconds)")?,
+            "--poll-every" => args.poll_every = int(&mut it, a, "")?,
             "--shutdown" => args.shutdown = true,
             "--help" | "-h" => args.help = true,
             "--out" => args.out = Some(it.next().ok_or("--out needs a path")?.clone()),
@@ -219,7 +166,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         Some("characterize") => {
             let text = if args.stream {
                 let path = args.trace.as_ref().ok_or("--stream needs --trace FILE (packed)")?;
-                cli::cmd_characterize_stream(path, args.jobs, args.block_jobs).map_err(|e| e.0)?
+                cli::cmd_characterize_stream(path, args.jobs).map_err(|e| e.0)?
             } else if args.trace.is_some() {
                 let input = read_trace(&args)?;
                 if args.no_replay {
